@@ -38,6 +38,7 @@ from fractions import Fraction
 
 from . import suites as _suites
 from .cocycle import iota_eval
+from .config import check_precision_request
 from .correspondence import BRANCHES, ExceptionalReport, exceptional_q, phi, psi
 from .errors import (
     DomainError,
@@ -47,7 +48,7 @@ from .errors import (
     ResourceError,
 )
 from .fixed_points import classify, count_fixed_points, enumerate_fixed_points
-from .padic_core import PadicInt, QParameter, from_rational, int_valuation
+from .padic_core import PadicInt, QParameter, _rational_digits, from_rational, int_valuation
 
 __all__ = ["OutputRecord", "build_parser", "run", "main"]
 
@@ -171,13 +172,21 @@ def _parse_digit_string(text: str, p: int | None) -> PadicInt:
     return x
 
 
+def _checked_level(n: int) -> int:
+    """The caller's --n: at least 1 and within the precision cap."""
+    if n < 1:
+        raise DomainError("--n must be at least 1")
+    return check_precision_request(n)
+
+
 def _q_literal(text: str, p: int, n: int) -> QParameter:
     """Parameter from a CLI literal, with enough digits for level-n work.
 
     Digit strings carry their own precision (too short fails honestly
     downstream).  Exact integer and rational literals are materialized at
     v_p(q-1) + n + 1 digits, which covers evaluation (m0+n), enumeration,
-    and classification at level n in one policy.
+    and classification at level n in one policy; the cap applies to the
+    caller's n, not to these internal digits.
     """
     fr = _fraction_literal(text)
     if fr is None:
@@ -187,7 +196,7 @@ def _q_literal(text: str, p: int, n: int) -> QParameter:
     diff = fr - 1
     m0 = int_valuation(diff.numerator, p) - int_valuation(diff.denominator, p)
     prec = n + max(m0, 0) + 1
-    return QParameter(from_rational(fr.numerator, fr.denominator, p, prec))
+    return QParameter(_rational_digits(fr.numerator, fr.denominator, p, prec))
 
 
 def _z_literal(text: str, p: int, n: int):
@@ -213,9 +222,7 @@ def _cmd_iota(args):
         raise DomainError("iota needs --z, or --table LIMIT")
     if args.table is not None and args.z is not None:
         raise DomainError("--z and --table are mutually exclusive")
-    if args.n < 1:
-        raise DomainError("--n must be at least 1")
-    q = _q_literal(args.q, args.p, args.n)
+    q = _q_literal(args.q, args.p, _checked_level(args.n))
 
     if args.table is not None:
         if args.table < 0:
@@ -247,9 +254,7 @@ def _cmd_iota(args):
 
 
 def _cmd_fixed(args):
-    if args.n < 1:
-        raise DomainError("--n must be at least 1")
-    q = _q_literal(args.q, args.p, args.n)
+    q = _q_literal(args.q, args.p, _checked_level(args.n))
     if args.mode == "classify":
         if args.z is None:
             raise DomainError("classify needs --z")

@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import check_precision_request
-from .errors import DomainError, InvariantError, PrecisionError
+from .errors import DomainError, PrecisionError
 from .padic_core import (
     INF,
     CosetDescriptor,
     PadicInt,
     as_qparameter,
+    check_disjoint,
     exact_div,
     int_valuation,
     mult_order,
@@ -60,18 +61,12 @@ class ImageDescription:
     cosets: tuple[CosetDescriptor, ...]
 
     def __post_init__(self):
-        seen = []
         for c in self.cosets:
             if c.prime != self.prime:
                 raise DomainError("coset prime differs from image prime")
             if c.exponent > self.modulus_exponent:
                 raise DomainError("coset finer than the stated modulus")
-            seen.append(c)
-        for i in range(len(seen)):
-            for j in range(i + 1, len(seen)):
-                e = min(seen[i].exponent, seen[j].exponent)
-                if (seen[i].base.lift() - seen[j].base.lift()) % self.prime**e == 0:
-                    raise InvariantError(f"cosets {seen[i]} and {seen[j]} overlap")
+        check_disjoint(self.cosets)
 
     def count(self) -> int:
         """Number of residues mod p**modulus_exponent in the image."""

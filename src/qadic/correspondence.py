@@ -7,9 +7,10 @@ This module computes both directions at finite precision:
 
   * solve_q_for_z / psi: given z, recover the unique q with iota_q(z) = z,
     one digit of q per lifting stage (three candidates, one survivor);
-  * phi: given q, locate its rooted fixed point by scanning candidate
-    valuations and then growing digits, or report that q is indistinguishable
-    from one of the two exceptional parameters at the available precision;
+  * phi: given q, locate its rooted fixed point with find_rooted's search
+    (candidate valuations, then one digit per level), or report that q is
+    indistinguishable from one of the two exceptional parameters at the
+    available precision;
   * exceptional_q: the two parameters whose only fixed points are 0 and 1,
     computed digit by digit and cached across calls;
   * F_map / G_map: the affine-renormalized versions of phi that are isometries
@@ -25,12 +26,11 @@ psi needs v0 spare digits of z (input z mod 3^(P+v0) for output q mod 3^P).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cocycle import iota_eval
 from .config import check_precision_request, precision_cap
 from .errors import DomainError, InvariantError, PrecisionError, ResourceError
-from .fixed_points import _scan_valuation, is_fixed, propagate_rooted
+from .fixed_points import _rooted_search, _unique_lift, is_fixed
 from .padic_core import INF, PadicInt, QParameter, as_qparameter, int_valuation
 
 BRANCHES = ("seven", "four")
@@ -40,86 +40,20 @@ _BRANCH_OFFSET = {"seven": 0, "four": 1}
 _BRANCH_BASE = {"seven": 2, "four": 1}
 
 
-def _padded_q(q_int: int, level: int) -> QParameter:
-    """The parameter with the given digits, zero-padded for a level test.
-
-    iota at level L wants q mod 3^(L+1); digits of q beyond the ones that
-    matter for the test at hand are padded with zeros, which is sound exactly
-    when the caller's test is insensitive to them (see module docstring).
-    """
-    return QParameter(PadicInt.from_int(q_int, 3, level + 1))
-
-
 def _fixes(q_int: int, z, level: int) -> bool:
-    """Does the zero-padded parameter q_int fix z mod 3^level?"""
-    return is_fixed(_padded_q(q_int, level), z, level)
+    """Does q_int, zero-padded to level+1 digits, fix z mod 3^level?
 
-
-@dataclass
-class DigitSolverState:
-    """Progress of the digit-by-digit solve for q given its fixed point.
-
-    `target` is z reduced mod 3^n, `v0` = v(z(z-1)), `digits` the little-endian
-    digits of q found so far (starting 1, then the branch digit).  After each
-    stage, iota_q(z) = z mod 3^(k + v0 + 1) where k = len(digits) - 1; extend()
-    maintains that invariant or raises InvariantError.
+    The padding is sound exactly when the caller's test is insensitive to
+    the padded digits (see module docstring).
     """
+    return is_fixed(QParameter(PadicInt.from_int(q_int, 3, level + 1)), z, level)
 
-    target: PadicInt
-    v0: int
-    digits: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.target.prime != 3:
-            raise DomainError("the digit solver is specific to p = 3")
-        if not self.digits:
-            offset = self.target.residue(1)
-            if offset not in (0, 1):
-                raise DomainError("z must be 0 or 1 mod 3")
-            branch = "seven" if offset == 0 else "four"
-            self.digits = [1, _BRANCH_BASE[branch]]
-        if self.digits[0] != 1 or self.digits[1] not in (1, 2):
-            raise InvariantError(f"malformed parameter digits {self.digits[:2]}")
-
-    @property
-    def modulus_exponent(self) -> int:
-        """How many digits of q are pinned down."""
-        return len(self.digits)
-
-    @property
-    def verified_level(self) -> int:
-        """The level at which the current digits have been checked to fix z."""
-        return len(self.digits) - 1 + self.v0 + 1
-
-    def q_value(self) -> int:
-        return sum(d * 3**i for i, d in enumerate(self.digits))
-
-    def q(self) -> PadicInt:
-        return PadicInt(3, tuple(self.digits))
-
-    def check_base(self) -> None:
-        """Verify the stage-1 invariant for the branch digit alone.
-
-        Every branch parameter fixes every admissible z at level v0 + 2, so a
-        failure here is an internal inconsistency, not a bad input.
-        """
-        if not _fixes(self.q_value(), self.target, self.verified_level):
-            raise InvariantError(
-                f"branch start {self.digits} does not fix {self.target} mod 3^{self.verified_level}"
-            )
-
-    def extend(self) -> None:
-        """Append the unique next digit keeping the target fixed one level up."""
-        k = len(self.digits)
-        level = k + self.v0 + 1
-        base = self.q_value()
-        good = [a for a in (0, 1, 2) if _fixes(base + a * 3**k, self.target, level)]
-        if len(good) != 1:
-            raise InvariantError(
-                f"digit {k} of q for z = {self.target}: {len(good)} candidates {good} "
-                f"pass at level {level}; expected exactly one"
-            )
-        self.digits.append(good[0])
+def _append_q_digit(digits: list[int], z, level: int, what: str) -> None:
+    """Append the unique next digit of q that keeps z fixed mod 3^level."""
+    k = len(digits)
+    base = sum(d * 3**i for i, d in enumerate(digits))
+    digits.append(_unique_lift(lambda q_int: _fixes(q_int, z, level), base, 3**k, what))
 
 
 def solve_q_for_z(z, n: int) -> PadicInt:
@@ -154,11 +88,16 @@ def solve_q_for_z(z, n: int) -> PadicInt:
     if v0 > n - 2:
         raise DomainError(f"v(z(z-1)) = {v0} needs working precision n >= {v0 + 2}, got {n}")
 
-    state = DigitSolverState(target=z, v0=v0)
-    state.check_base()
-    while state.modulus_exponent < n - v0:
-        state.extend()
-    return state.q()
+    digits = [1, _BRANCH_BASE["seven" if z.residue(1) == 0 else "four"]]
+    # Every branch parameter fixes every admissible z at level v0 + 2, so a
+    # failure here is an internal inconsistency, not a bad input.
+    if not _fixes(1 + 3 * digits[1], z, v0 + 2):
+        raise InvariantError(f"branch start {digits} does not fix {z} mod 3^{v0 + 2}")
+    # After appending digit k, iota_q(z) = z mod 3^(k + v0 + 1).
+    while len(digits) < n - v0:
+        k = len(digits)
+        _append_q_digit(digits, z, k + v0 + 1, f"digit {k} of q for z = {z}")
+    return PadicInt(3, tuple(digits))
 
 
 def psi(z, out_precision: int) -> PadicInt:
@@ -247,16 +186,9 @@ def exceptional_q(branch: str, digit_count: int) -> PadicInt:
                 )
         while len(digits) < digit_count:
             k = len(digits)
-            level = 2 * k + 1
-            target = offset + 3**k
-            base = sum(d * 3**i for i, d in enumerate(digits))
-            good = [a for a in (0, 1, 2) if _fixes(base + a * 3**k, target, level)]
-            if len(good) != 1:
-                raise InvariantError(
-                    f"digit {k} of the {branch}-branch exceptional parameter: "
-                    f"{len(good)} candidates {good} fix {target} mod 3^{level}"
-                )
-            digits.append(good[0])
+            _append_q_digit(
+                digits, offset + 3**k, 2 * k + 1, f"digit {k} of the {branch}-branch exceptional parameter"
+            )
         return PadicInt(3, tuple(digits[:digit_count]))
 
 
@@ -284,55 +216,42 @@ def phi(q, in_precision: int):
     """The correspondence q -> z_q, as z mod 3^(in_precision - 1).
 
     q must be 4 or 7 mod 9 and known mod 3^in_precision.  The rooted fixed
-    point is searched valuation by valuation: a point with v(z(z-1)) = v first
-    becomes visible (and is determined mod 3^(v+2)) at level 2v+3, where only
-    six candidates need testing; a hit is then extended one digit per level by
-    propagate_rooted.  Both steps only ever depend on q mod 3^in_precision,
-    the zero-padding beyond that being insensitive by the v0-shift rule.
+    point is found by find_rooted's search over valuations v <= in_precision - 3:
+    a point with v(z(z-1)) = v first becomes visible at level 2v+2, where
+    only two candidates need testing, and a hit is lifted one digit per level
+    up to level in_precision + v.  Every test depends only on q mod
+    3^in_precision, so q is zero-padded once beyond that, by the v0-shift rule.
 
-    If every usable valuation (v <= in_precision - 3) comes up empty, q is
-    indistinguishable from an exceptional parameter and an ExceptionalReport
-    with agreement_depth = in_precision - 1 is returned instead.
+    If every usable valuation comes up empty, q is indistinguishable from an
+    exceptional parameter and an ExceptionalReport with
+    agreement_depth = in_precision - 1 is returned instead.
 
     Deep searches test fixedness at levels up to 2*in_precision - 3, which
     must stay within the precision cap.
     """
+    N = in_precision
+    if N < 2:
+        raise DomainError(f"phi needs q mod 9 at least; in_precision is {N}")
+    check_precision_request(N)
     q = as_qparameter(q)
     if q.prime != 3:
         raise DomainError("the correspondence is specific to p = 3")
     branch = q.branch
     if branch not in BRANCHES:
         raise DomainError("q must be 4 or 7 mod 9 (known at least mod 9)")
-    N = in_precision
-    if N < 2:
-        raise DomainError("need q mod 9 at least")
-    check_precision_request(N)
     if q.precision < N:
         raise PrecisionError(f"q has {q.precision} digits, stated precision is {N}")
 
-    offset = _BRANCH_OFFSET[branch]
     if N == 2:
         # One output digit, and the branch law already dictates it.
-        return PadicInt.from_int(offset, 3, 1)
+        return PadicInt.from_int(_BRANCH_OFFSET[branch], 3, 1)
 
-    q_int = q.value.residue(N)
-    for v in range(1, N - 2):
-        level = 2 * v + 3
-        hits = _scan_valuation(_padded_q(q_int, level), level, v, offset)
-        if len(hits) > 1:
-            raise InvariantError(
-                f"valuation-{v} scan at level {level} found {len(hits)} rooted "
-                f"candidates {hits[:3]}; expected at most one"
-            )
-        if hits:
-            z, v0 = hits[0], v
-            # z is fixed mod 3^level and known mod 3^(level - v0 - 1); each
-            # step appends one digit.  Stop once z carries N-1 digits.
-            for lev in range(level, N + v0):
-                c = propagate_rooted(_padded_q(q_int, lev + 1), z, lev)
-                z += c * 3 ** (lev - v0 - 1)
-            return PadicInt.from_int(z, 3, N - 1)
-    return ExceptionalReport(branch=branch, agreement_depth=N - 1)
+    # The deepest test is at level N + v0 <= 2N - 3, which reads 2N - 2 digits.
+    padded = QParameter(PadicInt.from_int(q.value.residue(N), 3, 2 * N - 2))
+    hit = _rooted_search(padded, N - 3, lambda v0: N + v0)
+    if hit is None:
+        return ExceptionalReport(branch=branch, agreement_depth=N - 1)
+    return PadicInt.from_int(hit[0], 3, N - 1)
 
 
 # ---------------------------------------------------------------------------

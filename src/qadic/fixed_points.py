@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .config import check_precision_request
 from .errors import DomainError, InvariantError, PrecisionError
-from .padic_core import INF, CosetDescriptor, PadicInt, as_qparameter, int_valuation
+from .padic_core import INF, CosetDescriptor, PadicInt, as_qparameter, check_disjoint, int_valuation
 from .cocycle import iota_eval
 
 KIND_PAIRS = "pairs-only"
@@ -48,12 +48,7 @@ class FixedPointSet:
         for c in self.cosets:
             if c.prime != self.prime or c.exponent > n:
                 raise DomainError("coset incompatible with the stated modulus")
-        cs = self.cosets
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                e = min(cs[i].exponent, cs[j].exponent)
-                if (cs[i].base.lift() - cs[j].base.lift()) % self.prime**e == 0:
-                    raise InvariantError(f"cosets {cs[i]} and {cs[j]} overlap")
+        check_disjoint(self.cosets)
         if self.kind == KIND_ROOTED:
             if self.v0 is None or not (1 <= self.v0 and 2 * self.v0 < n - 1):
                 raise InvariantError(f"rooted set needs 1 <= v0 < (n-1)/2, got v0={self.v0}")
@@ -250,15 +245,55 @@ def classify(q, z, n: int) -> str:
     return "drifting"
 
 
+def _unique_lift(fixes, base: int, step: int, what: str) -> int:
+    """The unique digit c in {0,1,2} with fixes(base + c·step).
+
+    Every lifting step of the p = 3 construction keeps exactly one of its
+    three candidates; none or several signal an upstream bug.
+    """
+    good = [c for c in (0, 1, 2) if fixes(base + c * step)]
+    if len(good) != 1:
+        raise InvariantError(f"{what}: {len(good)} valid digits {good}; expected exactly one")
+    return good[0]
+
+
+def _rooted_search(q, top_v0: int, target) -> tuple[int, int] | None:
+    """The rooted fixed point of least valuation v0 <= top_v0, as (z, v0)
+    with z known mod 3^(target(v0) - v0 - 1); None when there is none.
+
+    A point with v(z(z-1)) = v0 first becomes visible at level 2v0+2, where
+    it is determined mod 3^(v0+1): only offset + 3^v0·{1, 2} need testing
+    (offset 0 on the seven branch, 1 on the four branch).  Rooted points
+    persist, so a hit is lifted one digit per level up to level target(v0).
+    q must be known mod 3^(L+1) at every level L tested.  Two hits at one
+    valuation contradict uniqueness and raise InvariantError.
+    """
+    offset = 0 if q.branch == "seven" else 1
+    for v0 in range(1, top_v0 + 1):
+        level = 2 * v0 + 2
+        hits = [z for z in (offset + 3**v0, offset + 2 * 3**v0) if is_fixed(q, z, level)]
+        if len(hits) > 1:
+            raise InvariantError(
+                f"two rooted candidates {hits} at valuation {v0} level {level} -- uniqueness violated"
+            )
+        if hits:
+            z = hits[0]
+            for lev in range(level + 1, target(v0) + 1):
+                step = 3 ** (lev - v0 - 2)
+                z += step * _unique_lift(
+                    lambda c: is_fixed(q, c, lev), z, step, f"lifting the valuation-{v0} root to level {lev}"
+                )
+            return z, v0
+    return None
+
+
 def find_rooted(q, n: int):
     """The unique rooted fixed point at level n, as (z0 mod 3^(n-v0-1), v0),
     or None when there is none.
 
-    Search: for each candidate valuation v0 = 1, 2, ... with 2·v0 < n-1,
-    test all candidates offset + 3^v0·u (u a unit mod 3^(n-2v0-1)) with
-    is_fixed; the offset is 0 on the seven branch, 1 on the four branch.
-    Uniqueness mod tau is a theorem, so two hits at one valuation raise
-    InvariantError rather than picking silently.
+    Valuations v0 = 1, 2, ... with 2·v0 < n-1 are tried in turn, each with
+    two candidates at its visibility level 2v0+2; the first hit is lifted one
+    digit per level up to n.  The cost is a few evaluations per level.
     """
     q = as_qparameter(q)
     if q.prime != 3 or not q.in_u1 or q.in_u2 or q.m0 is INF:
@@ -267,32 +302,11 @@ def find_rooted(q, n: int):
         raise DomainError("levels below 2 have no room for structure")
     if q.precision < 1 + n:
         raise PrecisionError(f"need q mod 3^{1 + n}, have {q.precision} digits")
-    offset = 0 if q.branch == "seven" else 1
-    v0 = 1
-    while 2 * v0 < n - 1:
-        hits = _scan_valuation(q, n, v0, offset)
-        if len(hits) > 1:
-            raise InvariantError(
-                f"two rooted candidates at valuation {v0} level {n}: {hits[:2]} -- uniqueness violated"
-            )
-        if hits:
-            return PadicInt.from_int(hits[0], 3, n - v0 - 1), v0
-        v0 += 1
-    return None
-
-
-def _scan_valuation(q, n: int, v0: int, offset: int) -> list[int]:
-    """All fixed z of shape offset + 3^v0 * unit, scanned mod 3^(n-v0-1)."""
-    span = 3 ** (n - 2 * v0 - 1)
-    step = 3**v0
-    hits = []
-    for u in range(1, span):
-        if u % 3 == 0:
-            continue
-        z = offset + u * step
-        if is_fixed(q, z, n):
-            hits.append(z)
-    return hits
+    hit = _rooted_search(q, (n - 2) // 2, lambda v0: n)
+    if hit is None:
+        return None
+    z, v0 = hit
+    return PadicInt.from_int(z, 3, n - v0 - 1), v0
 
 
 def propagate_rooted(q, z0, n: int) -> int:
@@ -316,10 +330,6 @@ def propagate_rooted(q, z0, n: int) -> int:
         raise DomainError(f"z0 = {z0} is not rooted at level {n} (v0 = {v0})")
     if not is_fixed(q, z0, n):
         raise DomainError(f"z0 = {z0} is not fixed mod 3^{n}")
-    step = 3 ** (n - v0 - 1)
-    good = [c for c in (0, 1, 2) if is_fixed(q, z0 + c * step, n + 1)]
-    if len(good) != 1:
-        raise InvariantError(
-            f"propagation of {z0} at level {n} found {len(good)} valid digits {good}; expected exactly one"
-        )
-    return good[0]
+    return _unique_lift(
+        lambda z: is_fixed(q, z, n + 1), z0, 3 ** (n - v0 - 1), f"propagation of {z0} at level {n}"
+    )

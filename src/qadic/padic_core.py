@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .config import check_precision_request
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, InvariantError, PrecisionError
 
 INF = math.inf
 
@@ -264,11 +264,18 @@ def from_rational(numerator: int, denominator: int, p: int, n: int) -> PadicInt:
     """The p-adic expansion of numerator/denominator to n digits.
 
     The fraction is reduced first, so e.g. 255/3 works 3-adically; after
-    reduction the denominator must be a p-unit.
+    reduction the denominator must be a p-unit.  n is checked against the
+    precision cap.
     """
     if denominator == 0:
         raise DomainError("zero denominator")
     check_precision_request(n)
+    return _rational_digits(numerator, denominator, p, n)
+
+
+def _rational_digits(numerator: int, denominator: int, p: int, n: int) -> PadicInt:
+    """from_rational without the cap check, for a precision derived from a
+    request that was already checked."""
     if n < 1:
         raise DomainError("precision must be at least 1")
     g = math.gcd(numerator, denominator)
@@ -476,6 +483,14 @@ class CosetDescriptor:
 
     def __str__(self) -> str:
         return f"{self.base.lift()}+{self.prime}^{self.exponent}Z"
+
+
+def check_disjoint(cosets) -> None:
+    """Raise InvariantError if two of the cosets share a residue."""
+    for i, a in enumerate(cosets):
+        for b in cosets[i + 1 :]:
+            if (a.base.lift() - b.base.lift()) % a.prime ** min(a.exponent, b.exponent) == 0:
+                raise InvariantError(f"cosets {a} and {b} overlap")
 
 
 # -- the parameter wrapper ---------------------------------------------------

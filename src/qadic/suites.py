@@ -488,8 +488,8 @@ def _suite_exceptional_minimality(res: SuiteResult, depth: int, rng: random.Rand
 
     For k-digit truncations, no level n <= 2k-1 admits a rooted fixed point;
     the first digit where a zero-padding diverges from the true parameter
-    pushes any root beyond that window.  find_rooted's scan is exponential in
-    the level, so k is capped by depth to keep the suite honest about cost.
+    pushes any root beyond that window.  k is capped by depth; find_rooted
+    costs a few evaluations per level, so the cap bounds coverage, not cost.
     """
     top_k = min(depth + 1, 8)
     for branch in BRANCHES:
@@ -535,8 +535,8 @@ def _suite_stability(res: SuiteResult, depth: int, rng: random.Random) -> None:
                 got == want,
                 lambda: f"stability q={qv} n={n}: count {got} != constant {want}",
             )
-    # The truncation window stops at level 12: the no-rooted scan that backs
-    # count_fixed_points is exponential in the level.
+    # The truncation window stops at level 12, inside the levels n <= 2k - 1
+    # = 15 at which an 8-digit truncation has no rooted point.
     for branch in BRANCHES:
         qk = exceptional_q(branch, probe)
         counts = {}

@@ -37,6 +37,12 @@ def test_fixed_count(capsys):
     assert out_of(capsys) == "21"
 
 
+def test_fixed_count_at_level_twenty(capsys):
+    # the rooted point of 4 sits at valuation 1, so the count stays 2·3^2 + 3
+    assert run(["fixed", "count", "--p", "3", "--q", "4", "--n", "20"]) == 0
+    assert out_of(capsys) == "21"
+
+
 def test_fixed_enumerate(capsys):
     assert run(["fixed", "enumerate", "--p", "3", "--q", "7", "--n", "2"]) == 0
     assert out_of(capsys) == "0,1,3,4,6,7"
@@ -242,6 +248,21 @@ def test_precision_errors_exit_two(capsys):
 def test_resource_cap_exits_four(capsys):
     assert run(["iota", "--p", "3", "--q", "4", "--z", "1", "--n", "100"]) == 4
     assert "resource cap" in capsys.readouterr().err
+
+
+def test_precision_cap_applies_to_the_requested_level(capsys):
+    # q = 4 is materialized at n + 2 digits internally; only --n is capped
+    assert run(["iota", "--p", "3", "--q", "4", "--z", "1", "--n", "64"]) == 0
+    assert out_of(capsys) == "1"
+    assert run(["fixed", "count", "--p", "3", "--q", "4", "--n", "64"]) == 0
+    assert out_of(capsys) == "21"
+    assert run(["iota", "--p", "3", "--q", "4", "--z", "1", "--n", "65"]) == 4
+    assert "requested precision 65 exceeds cap 64" in capsys.readouterr().err
+
+
+def test_phi_reports_a_too_small_precision(capsys):
+    assert run(["phi", "--q", "4", "--precision", "0"]) == 1
+    assert "in_precision is 0" in capsys.readouterr().err
 
 
 def test_main_raises_systemexit(monkeypatch):

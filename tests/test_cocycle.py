@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from qadic.cocycle import (
     INJECTIVE_ON_ALL,
+    ImageDescription,
     cocycle_sum,
     image_description,
     iota_eval,
     iota_valuation,
     kernel_order,
 )
-from qadic.errors import DomainError, PrecisionError
-from qadic.padic_core import INF, PadicInt, QParameter, from_rational
+from qadic.errors import DomainError, InvariantError, PrecisionError
+from qadic.padic_core import INF, CosetDescriptor, PadicInt, QParameter, from_rational
 
 
 def qp(value: int, p: int, precision: int) -> QParameter:
@@ -204,6 +205,16 @@ def test_image_matches_brute_spot():
         img = image_description(q, n)
         seen = {iota_eval(q, z, n).lift() for z in range(p ** (n + 3))}
         assert set(img.residues()) == seen, (qv, p, n)
+
+
+def test_image_rejects_overlapping_cosets():
+    # 4 + 9Z lies inside 1 + 3Z
+    wide = CosetDescriptor(PadicInt.from_int(1, 3, 1), 1)
+    narrow = CosetDescriptor(PadicInt.from_int(4, 3, 2), 2)
+    with pytest.raises(InvariantError, match="overlap"):
+        ImageDescription(3, 3, False, (wide, narrow))
+    apart = CosetDescriptor(PadicInt.from_int(0, 3, 1), 1)
+    assert ImageDescription(3, 3, False, (wide, apart)).count() == 18
 
 
 # -- full-period sums --------------------------------------------------------

@@ -6,8 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qadic import oracle
-from qadic.errors import DomainError
+from qadic.errors import DomainError, InvariantError
 from qadic.fixed_points import (
+    KIND_PAIRS,
+    FixedPointSet,
+    _unique_lift,
     classify,
     count_fixed_points,
     enumerate_fixed_points,
@@ -16,7 +19,7 @@ from qadic.fixed_points import (
     pair_criterion,
     propagate_rooted,
 )
-from qadic.padic_core import PadicInt, QParameter, from_rational
+from qadic.padic_core import CosetDescriptor, PadicInt, QParameter, from_rational
 
 # the 21 fixed residues of the parameter 4 at level 4, long since cross-checked
 # against the brute scan
@@ -62,6 +65,16 @@ def test_counts():
 def test_degenerate_identity_parameter():
     assert count_fixed_points(qp(1, 3, 5), 3) == 27
     assert enumerate_fixed_points(qp(1, 3, 5), 2).residues() == list(range(9))
+
+
+def test_fixed_point_set_rejects_overlapping_cosets():
+    # 10 + 27Z lies inside 1 + 9Z
+    wide = CosetDescriptor(PadicInt.from_int(1, 3, 2), 2)
+    narrow = CosetDescriptor(PadicInt.from_int(10, 3, 3), 3)
+    with pytest.raises(InvariantError, match="overlap"):
+        FixedPointSet(3, 4, (wide, narrow), KIND_PAIRS)
+    apart = CosetDescriptor(PadicInt.from_int(0, 3, 2), 2)
+    assert FixedPointSet(3, 4, (apart, wide), KIND_PAIRS).count() == 18
 
 
 def test_is_fixed_spot():
@@ -211,6 +224,25 @@ def test_propagation_chain_stays_fixed():
         c = propagate_rooted(q, z, n)
         z = z + c * 3 ** (n - v0 - 1)
         assert is_fixed(q, z, n + 1)
+
+
+def test_unique_lift_demands_exactly_one_survivor():
+    assert _unique_lift(lambda z: z % 9 == 5, 2, 3, "spot") == 1
+    with pytest.raises(InvariantError, match="spot: 0 valid digits"):
+        _unique_lift(lambda z: False, 2, 3, "spot")
+    with pytest.raises(InvariantError, match="spot: 3 valid digits"):
+        _unique_lift(lambda z: True, 2, 3, "spot")
+
+
+def test_find_rooted_is_polynomial_on_exceptional_truncations():
+    # no rooted point at any valuation: the search tests two candidates per
+    # valuation instead of every unit below the level
+    from qadic.correspondence import exceptional_q
+
+    for branch in ("seven", "four"):
+        q = QParameter(exceptional_q(branch, 31))
+        assert find_rooted(q, 30) is None
+        assert count_fixed_points(q, 30) == 3**15 + 3
 
 
 def test_propagate_rejects_unrooted_level():
