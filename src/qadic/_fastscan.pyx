@@ -1,7 +1,8 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled scan kernels: the hot twin of _scan_py (same functions, same
-semantics).  All arithmetic fits int64: moduli stay below 7**7 and order
-sweeps below 7**6, so products stay well under 2**63."""
+semantics).  All arithmetic is int64, so moduli must stay below 2**31,
+where s * q stays below 2**62; oracle.py refuses larger scans through
+config.check_scan_size."""
 
 from libc.stdlib cimport free, malloc
 

@@ -34,7 +34,6 @@ import dataclasses
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import suites as _suites
 from .cocycle import iota_eval
@@ -48,7 +47,7 @@ from .errors import (
     ResourceError,
 )
 from .fixed_points import classify, count_fixed_points, enumerate_fixed_points
-from .padic_core import PadicInt, QParameter, _rational_digits, from_rational, int_valuation
+from .padic_core import PadicInt, QParameter, from_rational, int_valuation, parse_value, read_literal
 
 __all__ = ["OutputRecord", "build_parser", "run", "main"]
 
@@ -145,31 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# -- literal parsing --------------------------------------------------------
-
-
-def _fraction_literal(text: str) -> Fraction | None:
-    """Exact value of an integer or a/b literal; None for digit strings."""
-    text = text.strip()
-    if "^" in text:
-        return None
-    if "/" in text:
-        a_str, b_str = text.split("/", 1)
-        try:
-            return Fraction(int(a_str), int(b_str))
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"not a rational literal: {text!r}") from None
-    try:
-        return Fraction(int(text))
-    except ValueError:
-        raise DomainError(f"unrecognized value literal: {text!r}") from None
-
-
-def _parse_digit_string(text: str, p: int | None) -> PadicInt:
-    x = PadicInt.parse(text)
-    if p is not None and x.prime != p:
-        raise DomainError(f"digit string is {x.prime}-adic, expected {p}-adic")
-    return x
+# -- literals and the precision cap -----------------------------------------
+# The cap applies to the caller's own --n or --precision, checked once as a
+# handler reads its arguments; the library works at whatever higher levels
+# it derives from them.
 
 
 def _checked_level(n: int) -> int:
@@ -179,38 +157,26 @@ def _checked_level(n: int) -> int:
     return check_precision_request(n)
 
 
+def _valuation(x, p: int):
+    """v_p of a nonzero exact rational."""
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
+
+
 def _q_literal(text: str, p: int, n: int) -> QParameter:
     """Parameter from a CLI literal, with enough digits for level-n work.
 
     Digit strings carry their own precision (too short fails honestly
     downstream).  Exact integer and rational literals are materialized at
     v_p(q-1) + n + 1 digits, which covers evaluation (m0+n), enumeration,
-    and classification at level n in one policy; the cap applies to the
-    caller's n, not to these internal digits.
+    and classification at level n in one policy.
     """
-    fr = _fraction_literal(text)
-    if fr is None:
-        return QParameter(_parse_digit_string(text, p))
-    if fr == 1:
+    x = read_literal(text, p)
+    if isinstance(x, PadicInt):
+        return QParameter(x)
+    if x == 1:
         return QParameter(PadicInt.from_int(1, p, n))
-    diff = fr - 1
-    m0 = int_valuation(diff.numerator, p) - int_valuation(diff.denominator, p)
-    prec = n + max(m0, 0) + 1
-    return QParameter(_rational_digits(fr.numerator, fr.denominator, p, prec))
-
-
-def _z_literal(text: str, p: int, n: int):
-    """Exponent from a CLI literal: plain int stays int (and renders as a
-    plain residue); rationals and digit strings become p-adic operands."""
-    fr = _fraction_literal(text)
-    if fr is None:
-        z = _parse_digit_string(text, p)
-        if z.precision < n:
-            raise PrecisionError(f"digit string has {z.precision} digits, need at least {n}")
-        return z
-    if fr.denominator == 1:
-        return int(fr)
-    return from_rational(fr.numerator, fr.denominator, p, n)
+    prec = n + max(_valuation(x - 1, p), 0) + 1
+    return QParameter(from_rational(x.numerator, x.denominator, p, prec))
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -247,7 +213,7 @@ def _cmd_iota(args):
 
     if args.mark_fixed:
         raise DomainError("--mark-fixed is only meaningful with --table")
-    z = _z_literal(args.z, args.p, args.n)
+    z = parse_value(args.z, args.p, args.n)
     out = iota_eval(q, z, args.n)
     plain = str(out.lift()) if isinstance(z, int) else str(out)
     return plain, {"value": plain}, "structural", 0
@@ -258,7 +224,7 @@ def _cmd_fixed(args):
     if args.mode == "classify":
         if args.z is None:
             raise DomainError("classify needs --z")
-        z = _z_literal(args.z, args.p, args.n)
+        z = parse_value(args.z, args.p, args.n)
         label = classify(q, z, args.n)
         return label, {"classification": label}, "structural", 0
     if args.z is not None:
@@ -273,12 +239,10 @@ def _cmd_fixed(args):
 
 
 def _cmd_phi(args):
-    n = args.precision
-    fr = _fraction_literal(args.q)
-    if fr is None:
-        q = QParameter(_parse_digit_string(args.q, 3))
-    else:
-        q = QParameter(from_rational(fr.numerator, fr.denominator, 3, max(n, 1)))
+    q = read_literal(args.q, 3)
+    n = check_precision_request(args.precision)
+    if not isinstance(q, PadicInt):
+        q = from_rational(q.numerator, q.denominator, 3, max(n, 1))
     out = phi(q, n)
     if isinstance(out, ExceptionalReport):
         payload = {
@@ -291,16 +255,15 @@ def _cmd_phi(args):
 
 
 def _cmd_psi(args):
-    prec = args.precision
-    fr = _fraction_literal(args.z)
-    if fr is None:
-        z = _parse_digit_string(args.z, 3)
-    elif fr.denominator == 1 or fr in (0, 1):
-        z = int(fr)
-    else:
-        zz1 = fr * (fr - 1)
-        v0 = int_valuation(zz1.numerator, 3) - int_valuation(zz1.denominator, 3)
-        z = from_rational(fr.numerator, fr.denominator, 3, prec + max(v0, 0))
+    z = read_literal(args.z, 3)
+    prec = check_precision_request(args.precision)
+    if not isinstance(z, PadicInt):
+        if z.denominator == 1:
+            z = z.numerator
+        else:
+            # psi reads z mod 3^(prec + v0) with v0 = v(z(z-1))
+            spare = max(_valuation(z * (z - 1), 3), 0)
+            z = from_rational(z.numerator, z.denominator, 3, prec + spare)
     out = psi(z, prec)
     return str(out), {"value": str(out)}, "structural", 0
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import check_precision_request
 from .errors import DomainError, PrecisionError
 from .padic_core import (
     INF,
@@ -26,6 +25,7 @@ from .padic_core import (
     exact_div,
     int_valuation,
     mult_order,
+    residue_of,
 )
 
 
@@ -91,20 +91,6 @@ class ImageDescription:
         return any(c.contains(value) for c in self.cosets)
 
 
-def _exponent_residue(q, z, n: int) -> int:
-    """Reduce the exponent z to a usable integer mod p**n."""
-    p = q.prime
-    if isinstance(z, int):
-        return z % p**n
-    if isinstance(z, PadicInt):
-        if z.prime != p:
-            raise DomainError(f"prime mismatch: q is {p}-adic, z is {z.prime}-adic")
-        if z.precision < n:
-            raise PrecisionError(f"z needs {n} digits for output precision {n}, has {z.precision}")
-        return z.residue(n)
-    raise DomainError("z must be an int or PadicInt")
-
-
 def iota_eval(q, z, n: int) -> PadicInt:
     """iota_q(z) mod p**n.
 
@@ -117,27 +103,20 @@ def iota_eval(q, z, n: int) -> PadicInt:
     p = q.prime
     if n < 1:
         raise DomainError("output precision must be at least 1")
-    check_precision_request(n)
 
     if q.m0 is INF:
         # q = 1 at every available digit: iota_1 = identity.  Sound at
         # precision n only if we have seen at least n digits of q.
         if q.precision < n:
             raise PrecisionError(f"q = 1 to only {q.precision} digits; need {n}")
-        if isinstance(z, int):
-            return PadicInt.from_int(z, p, n)
-        if isinstance(z, PadicInt) and z.prime == p:
-            if z.precision < n:
-                raise PrecisionError(f"z has {z.precision} digits, need {n}")
-            return z.truncate(n)
-        raise DomainError("z must be an int or a matching PadicInt")
+        return PadicInt.from_int(residue_of(z, p, n), p, n)
 
     if q.in_u1:
         m0 = q.m0
         need = m0 + n
         if q.precision < need:
             raise PrecisionError(f"iota at precision {n} needs q mod {p}^{need}, have {q.precision} digits")
-        e = _exponent_residue(q, z, n)
+        e = residue_of(z, p, n)
         mod = p**need
         t = (pow(q.value.residue(need), e, mod) - 1) % mod
         num = PadicInt.from_int(t, p, need)
@@ -243,7 +222,6 @@ def image_description(q, n: int) -> ImageDescription:
     p = q.prime
     if n < 1:
         raise DomainError("modulus exponent must be at least 1")
-    check_precision_request(n)
 
     def full() -> ImageDescription:
         zero = PadicInt.from_int(0, p, 1)
@@ -298,7 +276,6 @@ def cocycle_sum(q, n: int) -> PadicInt:
     p = q.prime
     if not q.in_u1:
         raise DomainError("cocycle sums are defined for q in 1 + pZ_p")
-    check_precision_request(n)
     total = 0
     mod = p**n
     for z in range(mod):

@@ -1,12 +1,17 @@
 """Runtime knobs, all overridable via environment variables.
 
 QADIC_SCAN_BUDGET     largest modulus p**n the brute-force oracle will sweep
-                      (default 3**9 = 19683).
-QADIC_PRECISION_CAP   largest *requested* output precision, in digits
-                      (default 64).  Internal scratch may legitimately exceed
-                      the cap by a bounded factor (e.g. the exceptional-q
-                      solver works at roughly twice its requested digit
-                      count); the cap bounds what callers may ask for.
+                      (default 3**9 = 19683).  Moduli of 2**31 and above are
+                      refused whatever the budget: the compiled kernels
+                      multiply two residues in a 64-bit integer.
+QADIC_PRECISION_CAP   largest output precision a caller may ask for, in
+                      digits (default 64).  The CLI checks the caller's own
+                      --n or --precision once, at entry; the library computes
+                      at whatever precision it is given, including the higher
+                      working levels it derives (phi and psi run a few
+                      digits above their output).  exceptional_q alone
+                      bounds its working level, since digit d needs a
+                      fixedness test at level 2d - 1.
 QADIC_BACKEND         set to "pure" to force the pure-Python scan kernels even
                       when the compiled extension is importable.
 """
@@ -19,6 +24,8 @@ from .errors import ResourceError
 
 DEFAULT_SCAN_BUDGET = 3**9
 DEFAULT_PRECISION_CAP = 64
+# s * q % M stays below 2**62 in the kernels' int64 arithmetic.
+SCAN_CEILING = 2**31
 
 
 def _env_int(name: str, default: int) -> int:
@@ -41,7 +48,7 @@ def precision_cap() -> int:
 
 
 def check_precision_request(n: int) -> int:
-    """Validate a requested output precision against the configured cap."""
+    """Validate a caller's requested output precision against the cap."""
     cap = precision_cap()
     if n > cap:
         raise ResourceError(f"requested precision {n} exceeds cap {cap} (QADIC_PRECISION_CAP)")
@@ -50,6 +57,8 @@ def check_precision_request(n: int) -> int:
 
 def check_scan_size(size: int) -> int:
     """Validate a brute-force sweep size against the configured budget."""
+    if size >= SCAN_CEILING:
+        raise ResourceError(f"scan of size {size} reaches the kernels' 64-bit ceiling 2**31")
     budget = scan_budget()
     if size > budget:
         raise ResourceError(f"scan of size {size} exceeds budget {budget} (QADIC_SCAN_BUDGET)")

@@ -28,10 +28,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .config import check_precision_request, precision_cap
+from .config import precision_cap
 from .errors import DomainError, InvariantError, PrecisionError, ResourceError
 from .fixed_points import _rooted_search, _unique_lift, is_fixed
-from .padic_core import INF, PadicInt, QParameter, as_qparameter, int_valuation
+from .padic_core import INF, PadicInt, QParameter, as_qparameter, capped_valuation, int_valuation, residue_of
 
 BRANCHES = ("seven", "four")
 
@@ -64,21 +64,10 @@ def solve_q_for_z(z, n: int) -> PadicInt:
     gives q = 7, z in 1+3Z gives q = 4 mod 9); each later digit is found by
     testing the three candidates with one evaluation each.
     """
-    check_precision_request(n)
     if n < 3:
         raise DomainError("solving needs n >= 3 (v0 >= 1 and v0 <= n-2)")
-    if isinstance(z, int):
-        z = PadicInt.from_int(z, 3, n)
-    elif isinstance(z, PadicInt):
-        if z.prime != 3:
-            raise DomainError("the correspondence is specific to p = 3")
-        if z.precision < n:
-            raise PrecisionError(f"z needs {n} digits, has {z.precision}")
-        z = z.truncate(n)
-    else:
-        raise DomainError("z must be an int or PadicInt")
-
-    v0 = (z * (z - 1)).valuation()
+    z = residue_of(z, 3, n)
+    v0 = capped_valuation(z * (z - 1), 3, n)
     if v0 is INF:
         raise DomainError(
             "z is 0 or 1 at every available digit; its parameter is exceptional_q's job"
@@ -88,7 +77,7 @@ def solve_q_for_z(z, n: int) -> PadicInt:
     if v0 > n - 2:
         raise DomainError(f"v(z(z-1)) = {v0} needs working precision n >= {v0 + 2}, got {n}")
 
-    digits = [1, _BRANCH_BASE["seven" if z.residue(1) == 0 else "four"]]
+    digits = [1, _BRANCH_BASE["seven" if z % 3 == 0 else "four"]]
     # Every branch parameter fixes every admissible z at level v0 + 2, so a
     # failure here is an internal inconsistency, not a bad input.
     if not _fixes(1 + 3 * digits[1], z, v0 + 2):
@@ -111,7 +100,6 @@ def psi(z, out_precision: int) -> PadicInt:
     P = out_precision
     if P < 1:
         raise DomainError("output precision must be at least 1")
-    check_precision_request(P)
 
     if isinstance(z, int):
         v0 = int_valuation(z * (z - 1), 3)
@@ -140,7 +128,7 @@ def psi(z, out_precision: int) -> PadicInt:
         raise PrecisionError(
             f"psi at precision {P} needs z mod 3^{n} (v0 = {v0}); z has {z.precision} digits"
         )
-    return solve_q_for_z(z if isinstance(z, int) else z.truncate(n), n)
+    return solve_q_for_z(z, n)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +158,6 @@ def exceptional_q(branch: str, digit_count: int) -> PadicInt:
         raise DomainError(f"branch must be one of {BRANCHES}, got {branch!r}")
     if digit_count < 1:
         raise DomainError("digit_count must be at least 1")
-    check_precision_request(digit_count)
     offset = _BRANCH_OFFSET[branch]
     with _EXC_LOCK:
         digits = _EXC_DIGITS[branch]
@@ -226,13 +213,11 @@ def phi(q, in_precision: int):
     exceptional parameter and an ExceptionalReport with
     agreement_depth = in_precision - 1 is returned instead.
 
-    Deep searches test fixedness at levels up to 2*in_precision - 3, which
-    must stay within the precision cap.
+    Deep searches test fixedness at levels up to 2*in_precision - 3.
     """
     N = in_precision
     if N < 2:
         raise DomainError(f"phi needs q mod 9 at least; in_precision is {N}")
-    check_precision_request(N)
     q = as_qparameter(q)
     if q.prime != 3:
         raise DomainError("the correspondence is specific to p = 3")
@@ -259,27 +244,13 @@ def phi(q, in_precision: int):
 # ---------------------------------------------------------------------------
 
 
-def _affine_input(x, P: int) -> int:
-    """Reduce the isometry argument to an integer mod 3^(P+1)."""
-    if isinstance(x, int):
-        return x % 3 ** (P + 1)
-    if isinstance(x, PadicInt):
-        if x.prime != 3:
-            raise DomainError("the isometries live on Z_3")
-        if x.precision < P + 1:
-            raise PrecisionError(f"need x mod 3^{P + 1}, have {x.precision} digits")
-        return x.residue(P + 1)
-    raise DomainError("x must be an int or PadicInt")
-
-
 def _isometry(x, P: int, branch: str):
     """Common core of F_map and G_map: conjugate phi by the affine charts."""
     if P < 1:
         raise DomainError("output precision must be at least 1")
-    check_precision_request(P)
     offset = _BRANCH_OFFSET[branch]
     base = 4 if branch == "four" else 7
-    x_int = _affine_input(x, P)
+    x_int = residue_of(x, 3, P + 1)
     # q = base + 9x is exact: two digits in, two digits up.
     q = QParameter(PadicInt.from_int(base + 9 * x_int, 3, P + 3))
     out = phi(q, P + 3)

@@ -13,9 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import check_precision_request
 from .errors import DomainError, InvariantError, PrecisionError
-from .padic_core import INF, CosetDescriptor, PadicInt, as_qparameter, check_disjoint, int_valuation
+from .padic_core import (
+    INF,
+    CosetDescriptor,
+    PadicInt,
+    as_qparameter,
+    capped_valuation,
+    check_disjoint,
+    int_valuation,
+    residue_of,
+)
 from .cocycle import iota_eval
 
 KIND_PAIRS = "pairs-only"
@@ -81,26 +89,13 @@ def _sorted_cosets(cosets) -> tuple[CosetDescriptor, ...]:
     return tuple(sorted(cosets, key=lambda c: (c.exponent, c.base.lift())))
 
 
-def _as_fixed_operand(z, p: int, n: int):
-    """Return (z as evaluation input, z reduced to a level-n PadicInt)."""
-    if isinstance(z, int):
-        return z, PadicInt.from_int(z, p, n)
-    if isinstance(z, PadicInt):
-        if z.prime != p:
-            raise DomainError(f"prime mismatch: {p} vs {z.prime}")
-        if z.precision < n:
-            raise PrecisionError(f"z needs {n} digits, has {z.precision}")
-        return z, z.truncate(n)
-    raise DomainError("z must be an int or PadicInt")
-
-
 def is_fixed(q, z, n: int) -> bool:
     """Whether iota_q(z) = z mod p**n (q must lie in 1 + pZ_p)."""
     q = as_qparameter(q)
     if not q.in_u1:
         raise DomainError("fixed points are defined for q in 1 + pZ_p")
-    zin, ztrunc = _as_fixed_operand(z, q.prime, n)
-    return iota_eval(q, zin, n) == ztrunc
+    r = residue_of(z, q.prime, n)
+    return iota_eval(q, r, n).lift() == r
 
 
 def _pair_threshold(q, n: int):
@@ -118,16 +113,9 @@ def _pair_threshold(q, n: int):
 
 
 def _zz1_valuation(z, p: int, n: int):
-    """v(z(z-1)) with honest precision semantics; INF = vanishes as far as seen."""
-    if isinstance(z, int):
-        return int_valuation(z * (z - 1), p)
-    if isinstance(z, PadicInt):
-        if z.prime != p:
-            raise DomainError(f"prime mismatch: {p} vs {z.prime}")
-        if z.precision < n:
-            raise PrecisionError(f"z needs {n} digits, has {z.precision}")
-        return (z * (z - 1)).valuation()
-    raise DomainError("z must be an int or PadicInt")
+    """v(z(z-1)) as seen mod p**n; INF = vanishes as far as seen."""
+    r = residue_of(z, p, n)
+    return capped_valuation(r * (r - 1), p, n)
 
 
 def pair_criterion(q, z, n: int) -> bool:
@@ -193,7 +181,6 @@ def enumerate_fixed_points(q, n: int) -> FixedPointSet:
         raise DomainError("fixed points are defined for q in 1 + pZ_p")
     if n < 1:
         raise DomainError("modulus exponent must be at least 1")
-    check_precision_request(n)
     p = q.prime
     m0 = q.m0
 

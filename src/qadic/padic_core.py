@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .config import check_precision_request
 from .errors import DomainError, InvariantError, PrecisionError
 
 INF = math.inf
@@ -59,6 +59,12 @@ def int_valuation(k: int, p: int):
         k //= p
         v += 1
     return v
+
+
+def capped_valuation(k: int, p: int, n: int):
+    """Valuation of an integer as seen mod p**n: INF when p**n divides it."""
+    v = int_valuation(k % p**n, p)
+    return INF if v >= n else v
 
 
 def digit_sum(a: int, p: int) -> int:
@@ -264,18 +270,13 @@ def from_rational(numerator: int, denominator: int, p: int, n: int) -> PadicInt:
     """The p-adic expansion of numerator/denominator to n digits.
 
     The fraction is reduced first, so e.g. 255/3 works 3-adically; after
-    reduction the denominator must be a p-unit.  n is checked against the
-    precision cap.
+    reduction the denominator must be a p-unit.  Any n >= 1 is computed:
+    the precision cap is checked on the caller's own number only (the CLI
+    checks --n or --precision), and exceptional_q alone bounds its working
+    level; no other derived level is checked.
     """
     if denominator == 0:
         raise DomainError("zero denominator")
-    check_precision_request(n)
-    return _rational_digits(numerator, denominator, p, n)
-
-
-def _rational_digits(numerator: int, denominator: int, p: int, n: int) -> PadicInt:
-    """from_rational without the cap check, for a precision derived from a
-    request that was already checked."""
     if n < 1:
         raise DomainError("precision must be at least 1")
     g = math.gcd(numerator, denominator)
@@ -396,34 +397,56 @@ def kummer_valuation(a: int, b: int, p: int) -> int:
     return (digit_sum(b, p) + digit_sum(a - b, p) - digit_sum(a, p)) // (p - 1)
 
 
-def parse_value(text: str, p: int | None = None, n: int | None = None):
-    """Parse an input literal: integer k, rational a/b, or canonical digit string.
+def read_literal(text: str, p: int | None = None):
+    """The exact value of a literal: integer k, rational a/b, or canonical
+    digit string.
 
-    Integers come back as exact Python ints (the caller chooses a precision);
-    rationals need p and n and come back as PadicInt; digit strings carry
-    their own prime and precision, checked against p/n when given.
+    Integers and rationals come back as a Fraction; digit strings as the
+    PadicInt they spell, whose prime must be p when p is given.
     """
     text = text.strip()
     if "^" in text:
         x = PadicInt.parse(text)
         if p is not None and x.prime != p:
             raise DomainError(f"digit string is {x.prime}-adic, expected {p}-adic")
+        return x
+    a_str, slash, b_str = text.partition("/")
+    try:
+        return Fraction(int(a_str), int(b_str) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        what = "not a rational literal" if slash else "unrecognized value literal"
+        raise DomainError(f"{what}: {text!r}") from None
+
+
+def parse_value(text: str, p: int | None = None, n: int | None = None):
+    """Parse an input literal into an operand.
+
+    Integers, and rationals a/b that reduce to one, come back as exact
+    Python ints (the caller chooses a precision); other rationals need p and
+    n and come back as PadicInt; digit strings carry their own prime and
+    precision, checked against p/n when given.
+    """
+    x = read_literal(text, p)
+    if isinstance(x, PadicInt):
         if n is not None and x.precision < n:
             raise PrecisionError(f"digit string has {x.precision} digits, need at least {n}")
         return x
-    if "/" in text:
-        a_str, b_str = text.split("/", 1)
-        try:
-            a, b = int(a_str), int(b_str)
-        except ValueError:
-            raise DomainError(f"not a rational literal: {text!r}") from None
-        if p is None or n is None:
-            raise DomainError("rational input needs a prime and a precision")
-        return from_rational(a, b, p, n)
-    try:
-        return int(text)
-    except ValueError:
-        raise DomainError(f"unrecognized value literal: {text!r}") from None
+    if x.denominator == 1:
+        return x.numerator
+    if p is None or n is None:
+        raise DomainError("rational input needs a prime and a precision")
+    return from_rational(x.numerator, x.denominator, p, n)
+
+
+def residue_of(x, p: int, n: int) -> int:
+    """x mod p**n, for an int or for a p-adic PadicInt known to n digits."""
+    if isinstance(x, int):
+        return x % p**n
+    if isinstance(x, PadicInt):
+        if x.prime != p:
+            raise DomainError(f"prime mismatch: {p} vs {x.prime}")
+        return x.residue(n)
+    raise DomainError("expected an int or a PadicInt")
 
 
 # -- coset bookkeeping ------------------------------------------------------
@@ -462,17 +485,7 @@ class CosetDescriptor:
         return self.prime**self.exponent
 
     def contains(self, z) -> bool:
-        if isinstance(z, PadicInt):
-            if z.prime != self.prime:
-                raise DomainError(f"prime mismatch: {self.prime} vs {z.prime}")
-            if z.precision < self.exponent:
-                raise PrecisionError(
-                    f"membership mod {self.prime}^{self.exponent} needs {self.exponent} digits, have {z.precision}"
-                )
-            z = z.residue(self.exponent)
-        if not isinstance(z, int):
-            raise DomainError("contains() wants an int or PadicInt")
-        return (z - self.base.lift()) % self.modulus == 0
+        return (residue_of(z, self.prime, self.exponent) - self.base.lift()) % self.modulus == 0
 
     def residues(self, n: int) -> list[int]:
         """All members mod p**n, sorted; needs n >= exponent."""

@@ -47,7 +47,7 @@ from .fixed_points import (
     pair_criterion,
     propagate_rooted,
 )
-from .padic_core import INF, PadicInt, QParameter, int_valuation, mult_order
+from .padic_core import INF, PadicInt, QParameter, capped_valuation, int_valuation, mult_order
 
 _MAX_FAILURES = 10  # per suite; past this the grid is abandoned with a note
 
@@ -93,12 +93,6 @@ def _u1_values(p: int, n: int):
 def _random_u1(rng: random.Random, p: int, span: int) -> int:
     """A random element of 1 + pZ mod p^span, slanted toward small m0."""
     return 1 + p * rng.randrange(p ** (span - 1))
-
-
-def _vcapped(x: int, p: int, n: int):
-    """Valuation of x as seen mod p^n: INF when p^n | x."""
-    v = int_valuation(x % p**n, p)
-    return INF if v is INF or v >= n else v
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +168,7 @@ def _suite_norm(res: SuiteResult, depth: int, rng: random.Random) -> None:
             q = _qparam(qv, p, m0 + n)
             for z in range(p**n):
                 got = iota_eval(q, z, n).valuation()
-                want = _vcapped(z, p, n)
+                want = capped_valuation(z, p, n)
                 res.check(
                     got == want,
                     lambda: f"norm p={p} q={qv} z={z}: v(iota)={got}, v(z)={want}",
@@ -250,7 +244,7 @@ def _oracle_sweep_pairs(res: SuiteResult, p: int, n: int, qvals: list[int]) -> N
     kern = oracle.kernels()
     a0s, exps = [], []
     for qv in qvals:
-        m0 = _vcapped(qv - 1, p, n)
+        m0 = capped_valuation(qv - 1, p, n)
         e = 0 if m0 is INF or m0 >= n else n - m0
         exps.append(e)
         a0s.append(p**e)

@@ -256,8 +256,19 @@ def test_precision_cap_applies_to_the_requested_level(capsys):
     assert out_of(capsys) == "1"
     assert run(["fixed", "count", "--p", "3", "--q", "4", "--n", "64"]) == 0
     assert out_of(capsys) == "21"
-    assert run(["iota", "--p", "3", "--q", "4", "--z", "1", "--n", "65"]) == 4
-    assert "requested precision 65 exceeds cap 64" in capsys.readouterr().err
+    # phi and psi work above their output precision; only --precision is capped
+    assert run(["phi", "--q", "4", "--precision", "64"]) == 0
+    assert out_of(capsys) == "3^63:" + ",".join(["1"] * 63)
+    for z in ("3", "-1/2"):
+        assert run(["psi", "--z", z, "--precision", "64"]) == 0
+        assert out_of(capsys).startswith("3^64:")
+    for argv in (
+        ["iota", "--p", "3", "--q", "4", "--z", "1", "--n", "65"],
+        ["phi", "--q", "4", "--precision", "65"],
+        ["psi", "--z", "3", "--precision", "65"],
+    ):
+        assert run(argv) == 4
+        assert "requested precision 65 exceeds cap 64" in capsys.readouterr().err
 
 
 def test_phi_reports_a_too_small_precision(capsys):

@@ -193,6 +193,15 @@ def test_phi_checks_parameter_precision():
         phi(qp(4, 4), 6)
 
 
+def test_phi_works_above_the_cap_for_a_deep_root():
+    # q leaves the seven-branch exceptional parameter at digit 28, so its
+    # root has v0 = 28 and is lifted to level 40 + 28, above the cap of 64
+    qv = exceptional_q("seven", 28).lift() + 3**28
+    z = phi(qp(qv, 40), 40)
+    assert z.precision == 39 and z.valuation() == 28
+    assert psi(z, 11) == PadicInt.from_int(qv, 3, 11)
+
+
 # -- round trips -------------------------------------------------------------
 
 
@@ -219,6 +228,8 @@ def test_phi_then_psi_returns_q(qv):
 
 def test_F_at_zero():
     assert F_map(0, 8) == from_rational(-1, 2, 3, 8)
+    # F runs phi at precision P + 3: 65 here, and the cap is not its business
+    assert F_map(0, 62) == from_rational(-1, 2, 3, 62)
 
 
 def test_G_hits_zero_at_the_exceptional_preimage():

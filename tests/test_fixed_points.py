@@ -169,9 +169,12 @@ def test_offset_side_cosets_all_fixed(n):
 @pytest.mark.parametrize("p", [5, 7])
 def test_fixed_sets_are_exactly_the_pair_cosets(p):
     # for q in U1 - {1}, the level-n fixed set is 0 and 1 mod p**(n-m0):
-    # no residue with z(z-1) of valuation strictly between 0 and n-m0
+    # no residue with z(z-1) of valuation strictly between 0 and n-m0.
+    # The scan depends only on q mod p**n and the expected set only on the
+    # step, so each is computed once and every parameter is still asserted.
     for n in range(1, 6):
         seen_m0 = set()
+        scans, expected = {}, {}
         for k in range(1, p**n):
             qv = 1 + p * k
             m0 = 1
@@ -180,8 +183,12 @@ def test_fixed_sets_are_exactly_the_pair_cosets(p):
                 m0 += 1
             seen_m0.add(m0)
             step = p ** max(n - m0, 0)
-            expected = [z for z in range(p**n) if z % step in (0, 1 % step)]
-            assert oracle.brute_fixed_points(qv, p, n) == expected, (p, n, qv)
+            if step not in expected:
+                expected[step] = [z for z in range(p**n) if z % step in (0, 1 % step)]
+            r = qv % p**n
+            if r not in scans:
+                scans[r] = oracle.brute_fixed_points(r, p, n)
+            assert scans[r] == expected[step], (p, n, qv)
         assert seen_m0 == set(range(1, n + 1))
 
 

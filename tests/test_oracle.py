@@ -182,6 +182,13 @@ def test_scan_budget_env_override(monkeypatch):
     assert pts[:2] == [0, 1] and len(pts) == 21
 
 
+def test_scan_refuses_moduli_beyond_the_int64_kernels(monkeypatch):
+    # s * q % M overflows 64 bits once M reaches 2**31, whatever the budget
+    monkeypatch.setenv("QADIC_SCAN_BUDGET", "10000000000")
+    with pytest.raises(ResourceError, match="2\\*\\*31"):
+        oracle.brute_order(3**20 - 1, 3, 20)
+
+
 # -- cross-route self-consistency -------------------------------------------
 
 

@@ -21,6 +21,7 @@ from qadic.padic_core import (
     legendre_valuation,
     mult_order,
     parse_value,
+    residue_of,
     unit_inverse,
     valuation,
 )
@@ -268,6 +269,21 @@ def test_parse_value_forms():
         parse_value("1/2")  # rational needs p and n
     with pytest.raises(PrecisionError):
         parse_value("3^2:1,1", 3, 4)
+    # a rational that reduces to an integer is that integer
+    assert parse_value("6/3") == 2 and isinstance(parse_value("6/3"), int)
+    with pytest.raises(DomainError):
+        parse_value("1/0", 3, 4)
+
+
+def test_residue_of():
+    assert residue_of(-1, 3, 2) == 8
+    assert residue_of(PadicInt.from_int(40, 3, 4), 3, 3) == 13
+    with pytest.raises(DomainError, match="prime mismatch"):
+        residue_of(PadicInt.from_int(4, 5, 4), 3, 2)
+    with pytest.raises(PrecisionError):
+        residue_of(PadicInt.from_int(4, 3, 2), 3, 4)
+    with pytest.raises(DomainError):
+        residue_of(0.5, 3, 2)
 
 
 # -- q-parameter wrapper -----------------------------------------------------
