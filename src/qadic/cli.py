@@ -275,6 +275,8 @@ def _cmd_exceptional(args):
 
 
 def _cmd_verify(args):
+    if args.depth < 1:
+        raise DomainError(f"--depth must be at least 1, got {args.depth}")
     if args.suite == "all":
         names = list(_suites.SUITES)
     elif args.suite == "default":

@@ -223,10 +223,10 @@ def classify(q, z, n: int) -> str:
     if not is_fixed(q, z, n):
         return "not-fixed"
     v = _zz1_valuation(z, p, n)
+    if v >= n - 1:  # m0 = 1 here, v_p(2) = 0; at n = 1 every residue is a pair
+        return "pair"
     if v == 0:
         raise InvariantError(f"z = {z} is fixed with unit z(z-1); that contradicts the pair theorem")
-    if v >= n - 1:  # m0 = 1 here, v_p(2) = 0
-        return "pair"
     if 2 * v < n - 1:
         return "rooted"
     return "drifting"

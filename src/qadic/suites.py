@@ -12,6 +12,11 @@ pin its own range); `seed` fixes the generator for the sampled suites, so
 any reported counterexample is reproducible by rerunning with the same
 arguments.  Suites that would be out of reach for the pure-Python backend
 shrink their grid there and say so in `notes`.
+
+The oracle's recurrence s(z+1) = q*s(z) + 1 mod p^n sees q only through
+q mod p^n, so the oracle-backed sweeps scan each class q mod p^n once per
+suite call and check every parameter of the class against that one scan;
+the closed-form side still runs on every parameter.
 """
 
 from __future__ import annotations
@@ -88,6 +93,11 @@ def _qparam(value: int, p: int, precision: int) -> QParameter:
 def _u1_values(p: int, n: int):
     """All q in 1 + pZ mod p^(n+2), as plain integers."""
     return range(1, p ** (n + 2), p)
+
+
+def _classes(qvals, ring: int) -> list[int]:
+    """The distinct classes q mod ring of qvals, in first-seen order."""
+    return list(dict.fromkeys(qv % ring for qv in qvals))
 
 
 def _random_u1(rng: random.Random, p: int, span: int) -> int:
@@ -237,20 +247,22 @@ def _suite_sums(res: SuiteResult, depth: int, rng: random.Random) -> None:
 def _oracle_sweep_pairs(res: SuiteResult, p: int, n: int, qvals: list[int]) -> None:
     """Fast path for pair-shaped fixed sets (p odd, not the rich p=3 stratum).
 
-    The compiled kernel walks the recurrence once per q and checks membership
-    against the two-coset rule for a0 = p^(n-m0) directly; Python only has to
-    agree on the descriptors, counts, and image/kernel sizes.
+    The kernel walks the recurrence once per class q mod p^n and checks
+    membership against the two-coset rule for a0 = p^(n-m0) directly (m0 is
+    capped at n, so a0 is a function of the class too); Python only has to
+    agree, parameter by parameter, on the descriptors, counts, and
+    image/kernel sizes.
     """
-    kern = oracle.kernels()
-    a0s, exps = [], []
-    for qv in qvals:
-        m0 = capped_valuation(qv - 1, p, n)
-        e = 0 if m0 is INF or m0 >= n else n - m0
-        exps.append(e)
-        a0s.append(p**e)
-    mism, fixed_counts, image_sizes = kern.pair_sweep(p, n, [q % p**n for q in qvals], a0s)
     ring = p**n
-    for qv, e, mis, fc, isz in zip(qvals, exps, mism, fixed_counts, image_sizes):
+    classes = _classes(qvals, ring)
+    exps = []
+    for c in classes:
+        m0 = capped_valuation(c - 1, p, n)
+        exps.append(0 if m0 is INF else n - m0)
+    scans = oracle.kernels().pair_sweep(p, n, classes, [p**e for e in exps])
+    by_class = dict(zip(classes, zip(exps, *scans)))
+    for qv in qvals:
+        e, mis, fc, isz = by_class[qv % ring]
         q = _qparam(qv, p, n + 2)
         res.check(mis == -1, lambda: f"membership p={p} n={n} q={qv}: first bad residue {mis}")
         fps = enumerate_fixed_points(q, n)
@@ -279,9 +291,13 @@ def _oracle_sweep_rich(res: SuiteResult, n: int, qvals: list[int]) -> None:
     """p = 3, q = 4 or 7 mod 9: full residue-list comparison per parameter."""
     kern = oracle.kernels()
     ring = 3**n
+    brutes = {
+        c: (kern.fixed_residues(c, 3, n), oracle.brute_image(c, 3, n))
+        for c in _classes(qvals, ring)
+    }
     for qv in qvals:
         q = _qparam(qv, 3, n + 2)
-        brute = kern.fixed_residues(qv % ring, 3, n)
+        brute, image = brutes[qv % ring]
         mine = enumerate_fixed_points(q, n).residues()
         res.check(
             mine == list(brute),
@@ -292,7 +308,6 @@ def _oracle_sweep_rich(res: SuiteResult, n: int, qvals: list[int]) -> None:
             lambda: f"count p=3 n={n} q={qv}: {count_fixed_points(q, n)} != {len(brute)}",
         )
         img = image_description(q, n)
-        image = oracle.brute_image(qv, 3, n)
         res.check(
             img.covers_all and len(image) == ring,
             lambda: f"image p=3 n={n} q={qv}: brute size {len(image)}, descriptor {img}",
@@ -306,9 +321,13 @@ def _oracle_sweep_rich(res: SuiteResult, n: int, qvals: list[int]) -> None:
 def _oracle_sweep_p2(res: SuiteResult, n: int, qvals: list[int]) -> None:
     """p = 2: small moduli, so everything is compared set-for-set in Python."""
     ring = 2**n
+    brutes = {
+        c: (oracle.brute_fixed_points(c, 2, n), oracle.brute_image(c, 2, n))
+        for c in _classes(qvals, ring)
+    }
     for qv in qvals:
         q = _qparam(qv, 2, n + 2)
-        brute = oracle.brute_fixed_points(qv, 2, n)
+        brute, image = brutes[qv % ring]
         fps = enumerate_fixed_points(q, n)
         res.check(
             fps.residues() == brute,
@@ -318,7 +337,6 @@ def _oracle_sweep_p2(res: SuiteResult, n: int, qvals: list[int]) -> None:
             count_fixed_points(q, n) == len(brute),
             lambda: f"count p=2 n={n} q={qv}: {count_fixed_points(q, n)} != {len(brute)}",
         )
-        image = oracle.brute_image(qv, 2, n)
         img = image_description(q, n)
         got = set(range(ring)) if img.covers_all else set(img.residues())
         res.check(
@@ -338,9 +356,10 @@ def _oracle_sweep_p2(res: SuiteResult, n: int, qvals: list[int]) -> None:
 def _suite_oracle_equivalence(res: SuiteResult, depth: int, rng: random.Random) -> None:
     """enumerate/count/image/kernel vs the brute oracle, every U1 parameter.
 
-    Grid: p in {2,3,5,7}, n <= depth, all q in 1+pZ mod p^(n+2).  On the
-    pure backend the p in {5,7} columns are subsampled to stay tractable,
-    and the notes say so.
+    Grid: p in {2,3,5,7}, n <= depth, all q in 1+pZ mod p^(n+2).  The
+    oracle scans each class q mod p^n once; the closed forms run on every
+    parameter.  On the pure backend the p in {5,7} columns are subsampled to
+    stay tractable, and the notes say so.
     """
     pure = oracle.backend() == "pure"
     for p in (2, 3, 5, 7):
@@ -374,7 +393,8 @@ def _suite_criterion(res: SuiteResult, depth: int, rng: random.Random) -> None:
 
     Sound: criterion true implies fixed (against the brute scan).  Exact: for
     p != 3, or q = 1 mod p^2, or n <= 2, or z = 2 mod 3, criterion equals
-    fixedness.  Exhaustive for p in {2,3}; sampled q for p = 5.
+    fixedness.  Exhaustive for p in {2,3}; sampled q for p = 5.  The brute
+    scan runs once per class q mod p^n, the criterion on every parameter.
     """
     for p in (2, 3, 5):
         for n in range(1, depth + 1):
@@ -383,9 +403,10 @@ def _suite_criterion(res: SuiteResult, depth: int, rng: random.Random) -> None:
                 qvals = sorted({_random_u1(rng, p, n + 2) for _ in range(40)})
             else:
                 qvals = list(_u1_values(p, n))
+            brutes = {c: set(oracle.brute_fixed_points(c, p, n)) for c in _classes(qvals, ring)}
             for qv in qvals:
                 q = _qparam(qv, p, n + 2)
-                brute = set(oracle.brute_fixed_points(qv, p, n))
+                brute = brutes[qv % ring]
                 exact_regime = p != 3 or q.in_u2 or q.m0 is INF or n <= 2
                 for z in range(ring):
                     crit = pair_criterion(q, z, n)

@@ -53,6 +53,12 @@ def test_fixed_classify(capsys):
     assert out_of(capsys) == "rooted"
 
 
+@pytest.mark.parametrize("z", ["2", "-1", "1/2"])
+def test_fixed_classify_at_level_one(z, capsys):
+    assert run(["fixed", "classify", "--p", "3", "--q", "4", "--z", z, "--n", "1"]) == 0
+    assert out_of(capsys) == "pair"
+
+
 def test_exceptional_eight_digits(capsys):
     # digit index 3 is 2, not 0: the printed source form drops one term, and
     # the certified digit stream (each stage exhausts its 3-candidate search
@@ -209,6 +215,20 @@ def test_verify_invariant_error_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(qadic.suites, "run_suites", boom)
     assert run(["verify", "--suite", "census"]) == 3
     assert "invariant violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, depth", [("all", "0"), ("order", "-2")])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_verify_refuses_depth_below_one(suite, depth, flags, capsys):
+    assert run(["verify", "--suite", suite, "--depth", depth, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--depth must be at least 1, got {depth}" in captured.err
+
+
+def test_verify_at_depth_one_passes(capsys):
+    assert run(["verify", "--suite", "oracle-equivalence", "--depth", "1", "--json"]) == 0
+    assert OutputRecord.from_line(out_of(capsys)).result["passed"]
 
 
 # -- exit codes --------------------------------------------------------------

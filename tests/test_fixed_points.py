@@ -140,6 +140,15 @@ def test_classify_examples():
     assert classify(q, 10, 4) == "drifting"
 
 
+def test_classify_at_level_one_is_all_pairs():
+    # at n = 1 the pair threshold n - m0 is 0, so every residue is fixed,
+    # those with a unit z(z-1) included
+    for qv in (4, 7):
+        q = qp(qv, 3, 3)
+        assert [classify(q, z, 1) for z in range(3)] == ["pair"] * 3
+    assert classify(qp(4, 3, 4), 2, 2) == "not-fixed"
+
+
 def test_classify_needs_rich_branch():
     with pytest.raises(DomainError):
         classify(qp(10, 3, 6), 13, 4)

@@ -1,8 +1,11 @@
 """The verification-sweep registry itself: result bookkeeping, the runner
 contract, and a smoke pass over the cheap suites."""
 
+import re
+
 import pytest
 
+from qadic import _scan_py, oracle
 from qadic.suites import DEFAULT_SUITES, SUITES, SuiteResult, run_suite, run_suites
 
 
@@ -75,3 +78,73 @@ def test_seed_reproducibility():
 def test_cheap_suites_pass_at_shallow_depth(name):
     r = run_suite(name, depth=3)
     assert r.passed, r.failures[:3]
+
+
+# -- the oracle scans once per class q mod p^n ---------------------------------
+
+
+@pytest.fixture
+def pure_kernels(monkeypatch):
+    """Run the suites on the pure kernels, whatever backend built here."""
+    monkeypatch.setattr(oracle, "_impl", _scan_py)
+    return _scan_py
+
+
+def test_oracle_equivalence_scans_each_class_once(pure_kernels, monkeypatch):
+    pair_calls, fixed_calls = [], []
+    pair_sweep, fixed_residues = pure_kernels.pair_sweep, pure_kernels.fixed_residues
+
+    def record_pairs(p, n, qs, a0s):
+        pair_calls.append((p, n, list(qs)))
+        return pair_sweep(p, n, qs, a0s)
+
+    def record_fixed(q, p, n):
+        fixed_calls.append((q, p, n))
+        return fixed_residues(q, p, n)
+
+    monkeypatch.setattr(pure_kernels, "pair_sweep", record_pairs)
+    monkeypatch.setattr(pure_kernels, "fixed_residues", record_fixed)
+    assert run_suite("oracle-equivalence", depth=3).passed
+
+    assert pair_calls
+    for p, n, qs in pair_calls:
+        assert len(qs) == len(set(qs)) and all(0 <= q < p**n for q in qs)
+    # fixed_residues serves the p = 2 sweep and the rich p = 3 stratum
+    want = {(q % 2**n, 2, n) for n in range(1, 4) for q in range(1, 2 ** (n + 2), 2)}
+    want |= {
+        (q % 3**n, 3, n)
+        for n in range(1, 4)
+        for q in range(1, 3 ** (n + 2), 3)
+        if q % 9 in (4, 7)
+    }
+    assert sorted(fixed_calls) == sorted(want)
+
+
+def test_a_wrong_class_scan_fails_only_that_class(pure_kernels, monkeypatch):
+    pair_sweep = pure_kernels.pair_sweep
+
+    def corrupt(p, n, qs, a0s):
+        mism, counts, sizes = pair_sweep(p, n, qs, a0s)
+        counts = [c + (p == 3 and n == 3 and q == 10) for q, c in zip(qs, counts)]
+        return mism, counts, sizes
+
+    monkeypatch.setattr(pure_kernels, "pair_sweep", corrupt)
+    r = run_suite("oracle-equivalence", depth=3)
+    assert not r.passed
+    named = [re.fullmatch(r"count p=3 n=3 q=(\d+): .*", f) for f in r.failures]
+    assert all(named), r.failures
+    assert {int(m.group(1)) % 27 for m in named} == {10}
+
+
+def test_oracle_equivalence_grid_on_the_pure_backend(pure_kernels):
+    # the p in {5, 7} columns pass 600 parameters from n = 3 on
+    for depth, cases in ((3, 9329), (4, 16510)):
+        subsampled = [
+            f"pure backend: p={p} n={n} column subsampled to 600 parameters"
+            for p in (5, 7)
+            for n in range(3, depth + 1)
+        ]
+        for seed in (0, 1):
+            r = run_suite("oracle-equivalence", depth=depth, seed=seed)
+            assert r.passed and r.cases == cases
+            assert r.notes == subsampled
