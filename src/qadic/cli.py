@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
 
 from . import suites as _suites
 from .cocycle import iota_eval
-from .config import check_precision_request
+from .config import check_listing_size, check_precision_request
 from .correspondence import BRANCHES, ExceptionalReport, exceptional_q, phi, psi
 from .errors import (
     DomainError,
@@ -144,6 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `run` in this process shares, built on first use.
+
+    parse_args keeps no state between calls: each returns a fresh
+    Namespace, and a malformed line raises DomainError from `error`.
+    """
+    return build_parser()
+
+
 # -- literals and the precision cap -----------------------------------------
 # The cap applies to the caller's own --n or --precision, checked once as a
 # handler reads its arguments; the library works at whatever higher levels
@@ -193,6 +204,7 @@ def _cmd_iota(args):
     if args.table is not None:
         if args.table < 0:
             raise DomainError("--table limit must be nonnegative")
+        check_listing_size(args.table + 1, args.p, args.n, "table values")
         ring = args.p**args.n
         values, marks = [], []
         for z in range(args.table + 1):
@@ -287,7 +299,10 @@ def _cmd_verify(args):
         known = ", ".join(_suites.SUITES)
         raise DomainError(f"unknown suite {args.suite!r}; choose from: {known}, default, all")
 
-    results = _suites.run_suites(names, depth=args.depth, seed=args.seed)
+    try:
+        results = _suites.run_suites(names, depth=args.depth, seed=args.seed)
+    except ResourceError as exc:
+        raise ResourceError(f"verify --depth {args.depth}: {exc}") from None
     lines = []
     for r in results:
         lines.append(r.summary())
@@ -365,7 +380,7 @@ def run(argv=None) -> int:
     """Entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_merge_negative_values(argv))
+        args = _parser().parse_args(_merge_negative_values(argv))
         start = time.perf_counter()
         text, payload, method, code = _HANDLERS[args.cmd](args)
         elapsed = time.perf_counter() - start

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import check_listing_size, check_scan_size
 from .errors import DomainError, PrecisionError
 from .padic_core import (
     INF,
@@ -76,8 +77,9 @@ class ImageDescription:
         return sum(self.prime ** (n - c.exponent) for c in self.cosets)
 
     def residues(self) -> list[int]:
-        """Sorted image residues mod p**modulus_exponent."""
+        """Sorted image residues mod p**modulus_exponent, at most the scan budget."""
         n = self.modulus_exponent
+        check_listing_size(self.count(), self.prime, n)
         if self.covers_all:
             return list(range(self.prime**n))
         out: set[int] = set()
@@ -277,7 +279,6 @@ def cocycle_sum(q, n: int) -> PadicInt:
     if not q.in_u1:
         raise DomainError("cocycle sums are defined for q in 1 + pZ_p")
     total = 0
-    mod = p**n
-    for z in range(mod):
+    for z in range(check_scan_size(p**n)):
         total += iota_eval(q, z, n).lift()
     return PadicInt.from_int(total, p, n)

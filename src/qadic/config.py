@@ -3,7 +3,12 @@
 QADIC_SCAN_BUDGET     largest modulus p**n the brute-force oracle will sweep
                       (default 3**9 = 19683).  Moduli of 2**31 and above are
                       refused whatever the budget: the compiled kernels
-                      multiply two residues in a 64-bit integer.
+                      multiply two residues in a 64-bit integer.  The same
+                      budget bounds every loop or listing of size p**n
+                      outside the oracle: residue listings of fixed sets,
+                      images and cosets, `iota --table` (LIMIT + 1 values),
+                      `cocycle_sum`, and the top ring 7**depth of
+                      `verify --suite oracle-equivalence`.
 QADIC_PRECISION_CAP   largest output precision a caller may ask for, in
                       digits (default 64).  The CLI checks the caller's own
                       --n or --precision once, at entry; the library computes
@@ -63,3 +68,13 @@ def check_scan_size(size: int) -> int:
     if size > budget:
         raise ResourceError(f"scan of size {size} exceeds budget {budget} (QADIC_SCAN_BUDGET)")
     return size
+
+
+def check_listing_size(count: int, p: int, n: int, noun: str = "residues") -> int:
+    """Validate the length of a listing mod p**n against the scan budget."""
+    budget = scan_budget()
+    if count > budget:
+        raise ResourceError(
+            f"listing {count} {noun} mod {p}^{n} exceeds budget {budget} (QADIC_SCAN_BUDGET)"
+        )
+    return count

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import check_listing_size
 from .errors import DomainError, InvariantError, PrecisionError
 from .padic_core import (
     INF,
@@ -72,7 +73,8 @@ class FixedPointSet:
         return any(c.contains(z) for c in self.cosets)
 
     def residues(self) -> list[int]:
-        """Sorted members mod p**modulus_exponent."""
+        """Sorted members mod p**modulus_exponent, at most the scan budget."""
+        check_listing_size(self.count(), self.prime, self.modulus_exponent)
         out: set[int] = set()
         for c in self.cosets:
             out.update(c.residues(self.modulus_exponent))

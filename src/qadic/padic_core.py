@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .config import check_listing_size
 from .errors import DomainError, InvariantError, PrecisionError
 
 INF = math.inf
@@ -488,11 +489,12 @@ class CosetDescriptor:
         return (residue_of(z, self.prime, self.exponent) - self.base.lift()) % self.modulus == 0
 
     def residues(self, n: int) -> list[int]:
-        """All members mod p**n, sorted; needs n >= exponent."""
+        """All members mod p**n, sorted; needs n >= exponent and p**(n - exponent) within the scan budget."""
         if n < self.exponent:
             raise DomainError(f"coset mod {self.prime}^{self.exponent} does not refine mod {self.prime}^{n}")
+        count = check_listing_size(self.prime ** (n - self.exponent), self.prime, n)
         step = self.modulus
-        return sorted((self.base.lift() + k * step) % self.prime**n for k in range(self.prime ** (n - self.exponent)))
+        return sorted((self.base.lift() + k * step) % self.prime**n for k in range(count))
 
     def __str__(self) -> str:
         return f"{self.base.lift()}+{self.prime}^{self.exponent}Z"

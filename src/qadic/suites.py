@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import oracle
+from .config import check_scan_size
 from .cocycle import (
     INJECTIVE_ON_ALL,
     cocycle_sum,
@@ -359,8 +360,10 @@ def _suite_oracle_equivalence(res: SuiteResult, depth: int, rng: random.Random) 
     Grid: p in {2,3,5,7}, n <= depth, all q in 1+pZ mod p^(n+2).  The
     oracle scans each class q mod p^n once; the closed forms run on every
     parameter.  On the pure backend the p in {5,7} columns are subsampled to
-    stay tractable, and the notes say so.
+    stay tractable, and the notes say so.  The top ring 7^depth must fit the
+    scan budget, checked before any grid is built.
     """
+    check_scan_size(7**depth)
     pure = oracle.backend() == "pure"
     for p in (2, 3, 5, 7):
         for n in range(1, depth + 1):

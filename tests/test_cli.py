@@ -2,10 +2,14 @@
 and the exit-code contract."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import qadic.cli
 import qadic.suites
 from qadic.cli import OutputRecord, main, run
 from qadic.correspondence import exceptional_q
@@ -187,6 +191,73 @@ def test_out_file_writes_instead_of_stdout(tmp_path, capsys):
     assert run(["iota", "--p", "3", "--q", "4", "--z", "5", "--n", "3", "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == "17\n"  # (4^5 - 1)/3 = 341 = 17 mod 27
+    # the shared parser does not carry --out over to the next call
+    assert run(["iota", "--p", "3", "--q", "4", "--z", "5", "--n", "3"]) == 0
+    assert out_of(capsys) == "17"
+    assert target.read_text() == "17\n"
+
+
+# -- the shared parser -------------------------------------------------------
+
+
+def test_run_builds_the_parser_once(monkeypatch, capsys):
+    builds = []
+    real = qadic.cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(qadic.cli, "build_parser", counting)
+    qadic.cli._parser.cache_clear()
+    codes = [
+        run(argv)
+        for argv in (
+            ["iota", "--p", "3", "--q", "4", "--z", "5", "--n", "3"],
+            ["fixed", "count", "--p", "3", "--q", "4", "--n", "4"],
+            ["phi", "--q", "4", "--precision", "5"],
+            ["psi", "--z", "3", "--precision", "8"],
+            ["exceptional", "--branch", "seven", "--digits", "8"],
+            ["fixed", "count", "--p", "x", "--q", "4", "--n", "3"],
+        )
+    ]
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0, 0, 1]
+    assert len(builds) == 1
+
+
+def test_parser_is_built_on_first_run_not_at_import():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(qadic.cli.__file__).parents[1])}
+    probe = "import qadic.cli as c; print(c._parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert qadic.cli.build_parser() is not qadic.cli.build_parser()
+
+
+def test_json_flag_does_not_stick(capsys):
+    argv = ["fixed", "count", "--p", "3", "--q", "4", "--n", "4"]
+    assert run([*argv, "--json"]) == 0
+    assert OutputRecord.from_line(out_of(capsys)).result == {"count": 21}
+    assert run(argv) == 0
+    assert out_of(capsys) == "21"
+
+
+def test_a_malformed_call_leaves_the_next_one_intact(capsys):
+    assert run(["fixed", "count", "--p", "3", "--q", "4"]) == 1
+    assert "error" in capsys.readouterr().err
+    assert run(["fixed", "count", "--p", "3", "--q", "4", "--n", "4"]) == 0
+    assert out_of(capsys) == "21"
+
+
+def test_negative_q_after_earlier_calls(capsys):
+    for argv in (["phi", "--q", "4", "--precision", "5"], ["iota", "--p", "3", "--q", "x", "--z", "1", "--n", "2"]):
+        run(argv)
+    capsys.readouterr()
+    assert run(["iota", "--p", "3", "--q", "-1/2", "--z", "2", "--n", "4"]) == 0
+    assert out_of(capsys) == "41"  # iota_q(2) = 1 + q = 1/2 = 41 mod 81
 
 
 # -- verify ------------------------------------------------------------------
@@ -268,6 +339,51 @@ def test_precision_errors_exit_two(capsys):
 def test_resource_cap_exits_four(capsys):
     assert run(["iota", "--p", "3", "--q", "4", "--z", "1", "--n", "100"]) == 4
     assert "resource cap" in capsys.readouterr().err
+
+
+def test_enumerate_beyond_the_scan_budget_exits_four(monkeypatch, capsys):
+    monkeypatch.setenv("QADIC_SCAN_BUDGET", "100")
+    assert run(["fixed", "enumerate", "--p", "3", "--q", "1", "--n", "9"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "listing 19683 residues mod 3^9 exceeds budget 100" in captured.err
+    assert run(["fixed", "enumerate", "--p", "3", "--q", "1", "--n", "4"]) == 0
+    assert out_of(capsys).split(",") == [str(z) for z in range(81)]
+
+
+def test_table_beyond_the_scan_budget_exits_four(monkeypatch, capsys):
+    monkeypatch.setenv("QADIC_SCAN_BUDGET", "100")
+    assert run(["iota", "--p", "3", "--q", "4", "--n", "3", "--table", "200"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "listing 201 table values mod 3^3 exceeds budget 100" in captured.err
+    assert run(["iota", "--p", "3", "--q", "4", "--n", "3", "--table", "99"]) == 0
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_oracle_equivalence_depth_beyond_the_scan_budget_exits_four(flags, monkeypatch, capsys):
+    monkeypatch.setenv("QADIC_SCAN_BUDGET", str(7**3))
+    assert run(["verify", "--suite", "oracle-equivalence", "--depth", "4", *flags]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verify --depth 4: scan of size 2401 exceeds budget 343" in captured.err
+    assert run(["verify", "--suite", "oracle-equivalence", "--depth", "3", *flags]) == 0
+
+
+def test_oracle_equivalence_refuses_depth_six_before_building_a_grid(monkeypatch, capsys):
+    def boom(p, n):
+        raise AssertionError(f"grid built for p={p} n={n}")
+
+    monkeypatch.delenv("QADIC_SCAN_BUDGET", raising=False)
+    monkeypatch.setattr(qadic.suites, "_u1_values", boom)
+    assert run(["verify", "--suite", "oracle-equivalence", "--depth", "6", "--json"]) == 4
+    assert "verify --depth 6: scan of size 117649 exceeds budget 19683" in capsys.readouterr().err
+
+
+def test_oracle_equivalence_at_depth_five_passes(monkeypatch, capsys):
+    monkeypatch.delenv("QADIC_SCAN_BUDGET", raising=False)
+    assert run(["verify", "--suite", "oracle-equivalence", "--depth", "5", "--json"]) == 0
+    assert OutputRecord.from_line(out_of(capsys)).result["passed"]
 
 
 def test_precision_cap_applies_to_the_requested_level(capsys):

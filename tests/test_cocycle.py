@@ -13,7 +13,7 @@ from qadic.cocycle import (
     iota_valuation,
     kernel_order,
 )
-from qadic.errors import DomainError, InvariantError, PrecisionError
+from qadic.errors import DomainError, InvariantError, PrecisionError, ResourceError
 from qadic.padic_core import INF, CosetDescriptor, PadicInt, QParameter, from_rational
 
 
@@ -224,6 +224,17 @@ def test_sum_examples():
     assert cocycle_sum(qp(4, 3, 5), 3).is_zero()
     assert cocycle_sum(qp(5, 2, 7), 4).lift() == 8
     assert cocycle_sum(qp(3, 2, 6), 3).lift() == 4
+
+
+def test_image_listing_and_sum_respect_the_scan_budget(monkeypatch):
+    monkeypatch.setenv("QADIC_SCAN_BUDGET", "26")
+    img = image_description(qp(4, 3, 5), 3)
+    assert img.covers_all and img.count() == 27
+    with pytest.raises(ResourceError, match=r"listing 27 residues mod 3\^3 exceeds budget 26"):
+        img.residues()
+    with pytest.raises(ResourceError, match="scan of size 27 exceeds budget 26"):
+        cocycle_sum(qp(4, 3, 5), 3)
+    assert cocycle_sum(qp(4, 3, 5), 2).is_zero()
 
 
 def test_sum_odd_prime_vanishes():

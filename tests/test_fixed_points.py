@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qadic import oracle
-from qadic.errors import DomainError, InvariantError
+from qadic.errors import DomainError, InvariantError, ResourceError
 from qadic.fixed_points import (
     KIND_PAIRS,
     FixedPointSet,
@@ -65,6 +65,14 @@ def test_counts():
 def test_degenerate_identity_parameter():
     assert count_fixed_points(qp(1, 3, 5), 3) == 27
     assert enumerate_fixed_points(qp(1, 3, 5), 2).residues() == list(range(9))
+
+
+def test_fixed_listing_respects_the_scan_budget(monkeypatch):
+    monkeypatch.setenv("QADIC_SCAN_BUDGET", "8")
+    fps = enumerate_fixed_points(qp(1, 3, 5), 2)
+    assert fps.count() == 9
+    with pytest.raises(ResourceError, match=r"listing 9 residues mod 3\^2 exceeds budget 8"):
+        fps.residues()
 
 
 def test_fixed_point_set_rejects_overlapping_cosets():

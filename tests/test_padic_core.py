@@ -352,3 +352,11 @@ def test_coset_descriptor_membership():
     assert coset.contains(PadicInt.from_int(13, 3, 4))
     assert not coset.contains(PadicInt.from_int(5, 3, 4))
     assert coset.residues(3) == [4, 13, 22]
+
+
+def test_coset_listing_respects_the_scan_budget(monkeypatch):
+    coset = CosetDescriptor(PadicInt.from_int(4, 3, 4), 2)
+    monkeypatch.setenv("QADIC_SCAN_BUDGET", "9")
+    assert len(coset.residues(4)) == 9
+    with pytest.raises(ResourceError, match=r"listing 27 residues mod 3\^5 exceeds budget 9"):
+        coset.residues(5)
