@@ -48,7 +48,7 @@ from .errors import (
     ResourceError,
 )
 from .fixed_points import classify, count_fixed_points, enumerate_fixed_points
-from .padic_core import PadicInt, QParameter, from_rational, int_valuation, parse_value, read_literal
+from .padic_core import PadicInt, QParameter, _is_prime, from_rational, int_valuation, parse_value, read_literal
 
 __all__ = ["OutputRecord", "build_parser", "run", "main"]
 
@@ -161,6 +161,13 @@ def _parser() -> argparse.ArgumentParser:
 # it derives from them.
 
 
+def _checked_prime(p: int) -> int:
+    """The caller's --p, refused unless prime (before any literal is read)."""
+    if not _is_prime(p):
+        raise DomainError(f"--p must be prime, got {p}")
+    return p
+
+
 def _checked_level(n: int) -> int:
     """The caller's --n: at least 1 and within the precision cap."""
     if n < 1:
@@ -199,7 +206,7 @@ def _cmd_iota(args):
         raise DomainError("iota needs --z, or --table LIMIT")
     if args.table is not None and args.z is not None:
         raise DomainError("--z and --table are mutually exclusive")
-    q = _q_literal(args.q, args.p, _checked_level(args.n))
+    q = _q_literal(args.q, _checked_prime(args.p), _checked_level(args.n))
 
     if args.table is not None:
         if args.table < 0:
@@ -232,7 +239,7 @@ def _cmd_iota(args):
 
 
 def _cmd_fixed(args):
-    q = _q_literal(args.q, args.p, _checked_level(args.n))
+    q = _q_literal(args.q, _checked_prime(args.p), _checked_level(args.n))
     if args.mode == "classify":
         if args.z is None:
             raise DomainError("classify needs --z")
@@ -371,9 +378,12 @@ def _echo_inputs(args) -> dict:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         print(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
 
 
 def run(argv=None) -> int:

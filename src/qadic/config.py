@@ -7,8 +7,10 @@ QADIC_SCAN_BUDGET     largest modulus p**n the brute-force oracle will sweep
                       budget bounds every loop or listing of size p**n
                       outside the oracle: residue listings of fixed sets,
                       images and cosets, `iota --table` (LIMIT + 1 values),
-                      `cocycle_sum`, and the top ring 7**depth of
-                      `verify --suite oracle-equivalence`.
+                      `cocycle_sum`, and the top ring p**depth of each
+                      depth-scaled `verify` suite (7**depth for
+                      oracle-equivalence and norm, 5**depth for valuation
+                      and criterion), checked before any suite runs.
 QADIC_PRECISION_CAP   largest output precision a caller may ask for, in
                       digits (default 64).  The CLI checks the caller's own
                       --n or --precision once, at entry; the library computes

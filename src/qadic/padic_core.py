@@ -51,7 +51,9 @@ def _divisors(k: int) -> list[int]:
 
 
 def int_valuation(k: int, p: int):
-    """p-adic valuation of an ordinary integer; INF for 0."""
+    """p-adic valuation of an ordinary integer; INF for 0.  Needs p >= 2."""
+    if p < 2:
+        raise DomainError(f"valuations need a base of at least 2, got {p}")
     if k == 0:
         return INF
     k = abs(k)

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import oracle
-from .config import check_scan_size
+from .config import SCAN_CEILING, check_scan_size
 from .cocycle import (
     INJECTIVE_ON_ALL,
     cocycle_sum,
@@ -44,7 +44,7 @@ from .correspondence import (
     phi,
     psi,
 )
-from .errors import PrecisionError
+from .errors import PrecisionError, ResourceError
 from .fixed_points import (
     count_fixed_points,
     enumerate_fixed_points,
@@ -360,10 +360,8 @@ def _suite_oracle_equivalence(res: SuiteResult, depth: int, rng: random.Random) 
     Grid: p in {2,3,5,7}, n <= depth, all q in 1+pZ mod p^(n+2).  The
     oracle scans each class q mod p^n once; the closed forms run on every
     parameter.  On the pure backend the p in {5,7} columns are subsampled to
-    stay tractable, and the notes say so.  The top ring 7^depth must fit the
-    scan budget, checked before any grid is built.
+    stay tractable, and the notes say so.
     """
-    check_scan_size(7**depth)
     pure = oracle.backend() == "pure"
     for p in (2, 3, 5, 7):
         for n in range(1, depth + 1):
@@ -665,8 +663,9 @@ def _suite_isometry(res: SuiteResult, depth: int, rng: random.Random) -> None:
 def _suite_order(res: SuiteResult, depth: int, rng: random.Random) -> None:
     """mult_order vs plain power iteration, all units, p in {2,3,5,7}, n <= 6.
 
-    The p = 7 column at full depth is ~5e9 multiplications: fine for the
-    compiled kernel, hopeless in pure Python, where it shrinks to n <= 4.
+    On the pure backend the p in {5,7} columns stop at n <= 4, and the notes
+    say so.  The pure order_sweep walks each cyclic subgroup once, so the cap
+    no longer buys time; it keeps the pure grid as it was.
     """
     kern = oracle.kernels()
     pure = oracle.backend() == "pure"
@@ -725,10 +724,35 @@ DEFAULT_SUITES = (
 )
 
 
+#: The prime p of the top ring p**depth that each depth-scaled suite walks.
+_TOP_RING_PRIME = {"oracle-equivalence": 7, "norm": 7, "valuation": 5, "criterion": 5}
+
+
+def _check_depth(names, depth: int) -> None:
+    """Refuse a depth whose top ring, in any named suite, exceeds the scan budget.
+
+    Raises ResourceError before any suite runs, so a refused call does no work.
+    """
+    for name in names:
+        p = _TOP_RING_PRIME.get(name)
+        if p is None:
+            continue
+        # p**31 >= 2**31 is refused anyway; the bound spares a huge power
+        size = p**depth if depth < 31 else SCAN_CEILING
+        try:
+            check_scan_size(size)
+        except ResourceError as exc:
+            raise ResourceError(f"{exc}; suite {name} walks {p}^{depth}") from None
+
+
 def run_suite(name: str, depth: int = 5, seed: int = 0) -> SuiteResult:
-    """Run one named suite and return its result (no exceptions on failure)."""
+    """Run one named suite and return its result (no exceptions on failure).
+
+    A depth beyond the scan budget raises ResourceError (see _check_depth).
+    """
     if name not in SUITES:
         raise KeyError(name)
+    _check_depth([name], depth)
     res = SuiteResult(name=name)
     rng = random.Random(seed)
     t0 = time.perf_counter()
@@ -740,4 +764,6 @@ def run_suite(name: str, depth: int = 5, seed: int = 0) -> SuiteResult:
 
 
 def run_suites(names, depth: int = 5, seed: int = 0) -> list[SuiteResult]:
+    """Run the named suites in order, once _check_depth has passed them all."""
+    _check_depth(names, depth)
     return [run_suite(name, depth=depth, seed=seed) for name in names]

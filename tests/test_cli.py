@@ -197,6 +197,15 @@ def test_out_file_writes_instead_of_stdout(tmp_path, capsys):
     assert target.read_text() == "17\n"
 
 
+def test_out_file_in_a_missing_directory_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "value.txt"
+    assert run(["iota", "--p", "3", "--q", "4", "--z", "5", "--n", "3", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {target}: ")
+    assert not target.exists()
+
+
 # -- the shared parser -------------------------------------------------------
 
 
@@ -378,6 +387,47 @@ def test_oracle_equivalence_refuses_depth_six_before_building_a_grid(monkeypatch
     monkeypatch.setattr(qadic.suites, "_u1_values", boom)
     assert run(["verify", "--suite", "oracle-equivalence", "--depth", "6", "--json"]) == 4
     assert "verify --depth 6: scan of size 117649 exceeds budget 19683" in capsys.readouterr().err
+
+
+def test_verify_all_refuses_depth_six_before_any_suite_runs(monkeypatch, capsys):
+    def boom(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.delenv("QADIC_SCAN_BUDGET", raising=False)
+    monkeypatch.setattr(qadic.suites, "iota_eval", boom)
+    for name in qadic.suites.SUITES:
+        monkeypatch.setitem(qadic.suites.SUITES, name, boom)
+    assert run(["verify", "--suite", "all", "--depth", "6"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap: verify --depth 6: ")
+
+
+@pytest.mark.parametrize(
+    "suite,top", [("norm", 7**4), ("valuation", 5**4), ("criterion", 5**4)]
+)
+def test_depth_scaled_suites_respect_the_scan_budget(suite, top, monkeypatch, capsys):
+    monkeypatch.setenv("QADIC_SCAN_BUDGET", str(7**3))
+    assert run(["verify", "--suite", suite, "--depth", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"verify --depth 4: scan of size {top} exceeds budget 343" in captured.err
+    assert f"suite {suite} walks" in captured.err
+    assert run(["verify", "--suite", suite, "--depth", "3"]) == 0
+
+
+@pytest.mark.parametrize("command", [["iota", "--z", "1"], ["fixed", "count"]])
+@pytest.mark.parametrize("p", ["1", "0", "-3", "4"])
+def test_non_prime_p_exits_one(command, p):
+    # --p 1 used to loop forever reading --q, --p 0 to divide by zero
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(qadic.cli.__file__).parents[1])}
+    argv = [command[0], *command[1:], f"--p={p}", "--q", "4", "--n", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qadic.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: --p must be prime, got {p}\n"
 
 
 def test_oracle_equivalence_at_depth_five_passes(monkeypatch, capsys):

@@ -7,7 +7,9 @@ when the compiled extension is not built; everything else runs on either
 backend.
 """
 
+import inspect
 import os
+import random
 
 import pytest
 
@@ -208,3 +210,41 @@ def test_pair_sweep_agrees_with_itemized_scans():
     for q, fc, isz in zip(qs, fixed_counts, image_sizes):
         assert fc == len(oracle.brute_fixed_points(q, p, n)), q
         assert isz == len(oracle.brute_image(q, p, n)), q
+
+
+# -- the pure order sweep: one walk per cyclic subgroup -----------------------
+
+UNIT_GRID_TOPS = {2: 9, 3: 6, 5: 5, 7: 4}
+
+
+@pytest.mark.parametrize("p", sorted(UNIT_GRID_TOPS))
+def test_pure_order_sweep_is_power_iteration_on_unit_grids(p):
+    for n in range(1, UNIT_GRID_TOPS[p] + 1):
+        M = p**n
+        qs = [q for q in range(1, M) if q % p != 0]
+        assert _scan_py.order_sweep(p, n, qs) == [_scan_py.order_of(q, M) for q in qs], n
+
+
+def test_pure_order_sweep_on_mixed_lists():
+    rng = random.Random(15)
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randint(1, 4)
+        M = p**n
+        qs = [rng.randint(-3 * M, 3 * M) for _ in range(rng.randint(2, 25))]
+        # non-units, values >= M, repeats, q = 1 mod M
+        qs += [0, p, M + 1, 1, 1 - M, 2 * M + 3, *rng.sample(qs, 2)]
+        rng.shuffle(qs)
+        assert _scan_py.order_sweep(p, n, qs) == [_scan_py.order_of(q, M) for q in qs], (p, n, qs)
+    assert _scan_py.order_sweep(3, 2, []) == []
+    assert _scan_py.order_sweep(5, 0, [0, 3, -1]) == [1, 1, 1]
+
+
+def test_pure_kernels_export_only_the_four_kernels():
+    # a span tracer wraps every public callable of the kernel module
+    public = {
+        name
+        for name, obj in vars(_scan_py).items()
+        if not name.startswith("_") and callable(obj) and not inspect.isclass(obj)
+    }
+    assert public == {"fixed_residues", "order_of", "order_sweep", "pair_sweep"}

@@ -119,6 +119,13 @@ def test_valuation_and_inf_sentinel():
     assert INF == math.inf
 
 
+@pytest.mark.parametrize("p", [1, 0, -1, -3])
+def test_int_valuation_refuses_a_base_below_two(p):
+    # with p = 1 or -1 the division loop would never end
+    with pytest.raises(DomainError, match=f"got {p}"):
+        int_valuation(9, p)
+
+
 @given(p=primes, x=st.integers(-(10**6), 10**6), y=st.integers(-(10**6), 10**6))
 def test_int_valuation_additive(p, x, y):
     if x == 0 or y == 0:

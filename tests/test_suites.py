@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import qadic.suites
 from qadic import _scan_py, oracle
 from qadic.suites import DEFAULT_SUITES, SUITES, SuiteResult, run_suite, run_suites
 
@@ -148,3 +149,25 @@ def test_oracle_equivalence_grid_on_the_pure_backend(pure_kernels):
             r = run_suite("oracle-equivalence", depth=depth, seed=seed)
             assert r.passed and r.cases == cases
             assert r.notes == subsampled
+
+
+# -- the order suite ------------------------------------------------------------
+
+
+def test_order_suite_on_the_pure_backend(pure_kernels):
+    r = run_suite("order", depth=5)
+    assert r.passed and r.cases == 3815
+    assert r.notes == [f"pure backend: p={p} order grid capped at n<=4" for p in (5, 7)]
+
+
+def test_a_wrong_mult_order_fails_the_order_suite(pure_kernels, monkeypatch):
+    real = qadic.suites.mult_order
+
+    def wrong(x, n):
+        o = real(x, n)
+        return 7 * o if (x.prime, n, x.lift()) == (7, 4, 3) else o
+
+    monkeypatch.setattr(qadic.suites, "mult_order", wrong)
+    r = run_suite("order", depth=3)
+    assert not r.passed
+    assert r.failures == ["order p=7 n=4 q=3: formula 14406, iteration 2058"]
