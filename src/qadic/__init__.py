@@ -41,12 +41,9 @@ from .padic_core import (
     exact_div,
     from_rational,
     int_valuation,
-    kummer_valuation,
-    legendre_valuation,
     mult_order,
     parse_value,
     unit_inverse,
-    valuation,
 )
 from .suites import DEFAULT_SUITES, SUITES, SuiteResult, run_suite, run_suites
 
@@ -87,8 +84,6 @@ __all__ = [
     "iota_valuation",
     "is_fixed",
     "kernel_order",
-    "kummer_valuation",
-    "legendre_valuation",
     "mult_order",
     "pair_criterion",
     "parse_value",
@@ -99,6 +94,5 @@ __all__ = [
     "run_suites",
     "solve_q_for_z",
     "unit_inverse",
-    "valuation",
     "__version__",
 ]

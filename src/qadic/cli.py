@@ -53,7 +53,6 @@ from .padic_core import PadicInt, QParameter, _is_prime, from_rational, int_valu
 __all__ = ["OutputRecord", "build_parser", "run", "main"]
 
 _TABLE_COLUMNS = 18
-_ORACLE_BACKED = frozenset({"oracle-equivalence", "criterion", "order"})
 _RECORD_FIELDS = ("command", "inputs", "method", "result", "timing")
 
 
@@ -294,8 +293,6 @@ def _cmd_exceptional(args):
 
 
 def _cmd_verify(args):
-    if args.depth < 1:
-        raise DomainError(f"--depth must be at least 1, got {args.depth}")
     if args.suite == "all":
         names = list(_suites.SUITES)
     elif args.suite == "default":
@@ -330,11 +327,12 @@ def _cmd_verify(args):
                 "notes": list(r.notes),
                 "passed": r.passed,
                 "seconds": round(r.seconds, 3),
+                "top_level": r.top_level,
             }
             for r in results
         ],
     }
-    method = "oracle" if any(name in _ORACLE_BACKED for name in names) else "structural"
+    method = "oracle" if any(r.oracle for r in results) else "structural"
     return "\n".join(lines), payload, method, 0 if all_passed else 3
 
 

@@ -7,13 +7,14 @@ QADIC_SCAN_BUDGET     largest modulus p**n the brute-force oracle will sweep
                       budget bounds every loop or listing of size p**n
                       outside the oracle: residue listings of fixed sets,
                       images and cosets, `iota --table` (LIMIT + 1 values),
-                      `cocycle_sum`, and the top ring p**depth of each
-                      depth-scaled `verify` suite (7**depth for
-                      oracle-equivalence and norm, 5**depth for valuation
-                      and criterion), checked before any suite runs.
+                      `cocycle_sum`, and the largest ring each `verify`
+                      suite scans at its top level, as the suites module's
+                      table declares it, checked before any suite runs.
 QADIC_PRECISION_CAP   largest output precision a caller may ask for, in
                       digits (default 64).  The CLI checks the caller's own
-                      --n or --precision once, at entry; the library computes
+                      --n or --precision once, at entry, and `verify` checks
+                      each suite's top level the same way before any suite
+                      runs; the library computes
                       at whatever precision it is given, including the higher
                       working levels it derives (phi and psi run a few
                       digits above their output).  exceptional_q alone

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 
 from . import _scan_py
-from .config import check_scan_size, scan_budget
+from .config import check_scan_size
 from .errors import DomainError, PrecisionError, ResourceError
 from .padic_core import PadicInt, QParameter
 
@@ -68,16 +68,6 @@ def brute_fixed_points(q, p: int | None = None, n: int = 1) -> list[int]:
     return _impl.fixed_residues(qr, p, n)
 
 
-def brute_order(q, p: int | None = None, n: int = 1) -> int:
-    """Multiplicative order of q mod p**n by power iteration."""
-    qr, p = _as_residue(q, p, n)
-    check_scan_size(p**n)
-    o = _impl.order_of(qr, p**n)
-    if o == 0:
-        raise DomainError(f"{qr} is not a unit mod {p}^{n}")
-    return o
-
-
 def brute_image(q, p: int | None = None, n: int = 1) -> list[int]:
     """Sorted distinct values of the recurrence over one full period mod p**n.
 
@@ -99,23 +89,3 @@ def brute_image(q, p: int | None = None, n: int = 1) -> list[int]:
         if s == 0 and t == 1:
             return sorted(seen)
     raise ResourceError(f"recurrence mod {p}^{n} did not close after {limit} steps")  # pragma: no cover
-
-
-def recurrence_values(q, p: int | None = None, n: int = 1, count: int | None = None) -> list[int]:
-    """The first `count` recurrence values s(0), s(1), ... mod p**n.
-
-    Used by self-consistency tests that compare the scan route against the
-    closed-form evaluator on every z.
-    """
-    qr, p = _as_residue(q, p, n)
-    M = p**n
-    if count is None:
-        count = M
-    if count > scan_budget():
-        raise ResourceError(f"{count} recurrence steps exceed the scan budget")
-    out = []
-    s = 0
-    for _ in range(count):
-        out.append(s)
-        s = (s * qr + 1) % M
-    return out

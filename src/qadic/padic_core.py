@@ -70,17 +70,6 @@ def capped_valuation(k: int, p: int, n: int):
     return INF if v >= n else v
 
 
-def digit_sum(a: int, p: int) -> int:
-    """Sum of base-p digits of a nonnegative integer."""
-    if a < 0:
-        raise DomainError("digit sums are defined for nonnegative integers")
-    s = 0
-    while a:
-        s += a % p
-        a //= p
-    return s
-
-
 @dataclass(frozen=True)
 class PadicInt:
     """A p-adic integer known to finitely many digits.
@@ -292,13 +281,6 @@ def from_rational(numerator: int, denominator: int, p: int, n: int) -> PadicInt:
     return PadicInt.from_int(numerator * inv, p, n)
 
 
-def valuation(x):
-    """p-adic valuation of a PadicInt (INF when zero to full precision)."""
-    if not isinstance(x, PadicInt):
-        raise DomainError("valuation() wants a PadicInt; use int_valuation for plain integers")
-    return x.valuation()
-
-
 def unit_inverse(x: PadicInt) -> PadicInt:
     """Inverse of a unit, by Newton digit-lifting from the inverse mod p."""
     if not x.is_unit():
@@ -378,26 +360,6 @@ def mult_order(q, n: int) -> int:
     if m is INF or m >= n:
         return o
     return o * p ** (n - m)
-
-
-def legendre_valuation(a: int, p: int) -> int:
-    """v_p(a!) = (a - digit_sum(a)) / (p - 1)."""
-    if a < 0:
-        raise DomainError("factorials need a nonnegative argument")
-    if not _is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return (a - digit_sum(a, p)) // (p - 1)
-
-
-def kummer_valuation(a: int, b: int, p: int) -> int:
-    """v_p(binomial(a, b)) = carry count of b + (a-b) in base p."""
-    if b > a:
-        raise DomainError("binomial(a, b) needs b <= a")
-    if b < 0 or a < 0:
-        raise DomainError("binomial arguments must be nonnegative")
-    if not _is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return (digit_sum(b, p) + digit_sum(a - b, p) - digit_sum(a, p)) // (p - 1)
 
 
 def read_literal(text: str, p: int | None = None):

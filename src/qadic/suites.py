@@ -7,9 +7,14 @@ disagreement as a counterexample string.  Zero failures is the pass
 condition; suites never assert, so a caller can collect results from all
 of them before deciding how loudly to complain.
 
-The `depth` knob scales grid exponents (default 5 where a suite does not
-pin its own range); `seed` fixes the generator for the sampled suites, so
-any reported counterexample is reproducible by rerunning with the same
+How far each suite reaches for a given `depth` is declared once, in the
+table `_TABLE` at the end of this module: its top level as a function of
+`depth`, and the largest ring p**e whose residues it scans, if any.  The
+runner checks every named row before the first suite runs -- the ring
+against QADIC_SCAN_BUDGET and the kernels' 2**31 ceiling, the top level
+against QADIC_PRECISION_CAP -- and hands each body its top level, never
+`depth` itself.  `seed` fixes the generator for the sampled suites, so any
+reported counterexample is reproducible by rerunning with the same
 arguments.  Suites that would be out of reach for the pure-Python backend
 shrink their grid there and say so in `notes`.
 
@@ -24,9 +29,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import oracle
-from .config import SCAN_CEILING, check_scan_size
+from .config import SCAN_CEILING, check_precision_request, check_scan_size
 from .cocycle import (
     INJECTIVE_ON_ALL,
     cocycle_sum,
@@ -44,7 +50,7 @@ from .correspondence import (
     phi,
     psi,
 )
-from .errors import PrecisionError, ResourceError
+from .errors import DomainError, PrecisionError, ResourceError
 from .fixed_points import (
     count_fixed_points,
     enumerate_fixed_points,
@@ -65,6 +71,8 @@ class SuiteResult:
     failures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     seconds: float = 0.0
+    top_level: int = 0  # the deepest level the suite's grid reached
+    oracle: bool = False  # checked against the brute oracle
 
     @property
     def passed(self) -> bool:
@@ -102,7 +110,7 @@ def _classes(qvals, ring: int) -> list[int]:
 
 
 def _random_u1(rng: random.Random, p: int, span: int) -> int:
-    """A random element of 1 + pZ mod p^span, slanted toward small m0."""
+    """A uniformly random element of 1 + pZ mod p^span."""
     return 1 + p * rng.randrange(p ** (span - 1))
 
 
@@ -111,11 +119,11 @@ def _random_u1(rng: random.Random, p: int, span: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_cocycle_identity(res: SuiteResult, depth: int, rng: random.Random) -> None:
+def _suite_cocycle_identity(res: SuiteResult, top: int, rng: random.Random) -> None:
     """iota_q(a+b) = q^a * iota_q(b) + iota_q(a), 500 random triples, p in {2,3,5}."""
     for _ in range(500):
         p = rng.choice((2, 3, 5))
-        n = rng.randint(1, depth)
+        n = rng.randint(1, top)
         qv = _random_u1(rng, p, n + 3)
         m0 = int_valuation(qv - 1, p)
         prec = (m0 if m0 is not INF else n) + n + 1
@@ -128,7 +136,7 @@ def _suite_cocycle_identity(res: SuiteResult, depth: int, rng: random.Random) ->
         res.check(lhs == rhs, lambda: f"cocycle identity p={p} n={n} q={qv} a={a} b={b}: {lhs} != {rhs}")
 
 
-def _suite_identities(res: SuiteResult, depth: int, rng: random.Random) -> None:
+def _suite_identities(res: SuiteResult, top: int, rng: random.Random) -> None:
     """The three elementary identities of the q-sum, random inputs.
 
     (i)  iota_q(-z) = -q^(-z) iota_q(z);
@@ -137,7 +145,7 @@ def _suite_identities(res: SuiteResult, depth: int, rng: random.Random) -> None:
     """
     for _ in range(300):
         p = rng.choice((2, 3, 5))
-        n = rng.randint(1, depth)
+        n = rng.randint(1, top)
         qv = _random_u1(rng, p, n + 3)
         m0 = int_valuation(qv - 1, p)
         if m0 is INF:
@@ -166,9 +174,9 @@ def _suite_identities(res: SuiteResult, depth: int, rng: random.Random) -> None:
         res.check(lhs3 == rhs3, lambda: f"telescoping p={p} n={n} q={qv} z={z}: {lhs3} != {rhs3}")
 
 
-def _suite_norm(res: SuiteResult, depth: int, rng: random.Random) -> None:
+def _suite_norm(res: SuiteResult, top: int, rng: random.Random) -> None:
     """v(iota_q(z)) = v(z) for q in 1+pZ_p, p odd: exhaustive z, sampled q."""
-    n = depth
+    n = top
     for p in (3, 5, 7):
         qs = {_random_u1(rng, p, n + 2) for _ in range(8)}
         qs.update((1 + p, 1 + p**2, 1 + p * (p - 1)))
@@ -188,7 +196,7 @@ def _suite_norm(res: SuiteResult, depth: int, rng: random.Random) -> None:
                 return
 
 
-def _suite_valuation(res: SuiteResult, depth: int, rng: random.Random) -> None:
+def _suite_valuation(res: SuiteResult, top: int, rng: random.Random) -> None:
     """Closed-form iota_valuation vs valuation(iota_eval), p in {2,3,5}.
 
     Exhaustive in z and (for p = 2, 3) in q mod p^(n+2); sampled q for p = 5.
@@ -197,7 +205,7 @@ def _suite_valuation(res: SuiteResult, depth: int, rng: random.Random) -> None:
     'at least n' on both sides otherwise.
     """
     for p in (2, 3, 5):
-        for n in range(1, depth + 1):
+        for n in range(1, top + 1):
             if p == 5:
                 qvals = sorted({_random_u1(rng, p, n + 2) for _ in range(60)})
             else:
@@ -221,10 +229,13 @@ def _suite_valuation(res: SuiteResult, depth: int, rng: random.Random) -> None:
                     return
 
 
-def _suite_sums(res: SuiteResult, depth: int, rng: random.Random) -> None:
-    """Full-period sums: 0 for p odd; 2^(n-1) mod 2^n for p = 2, both branches."""
+def _suite_sums(res: SuiteResult, top: int, rng: random.Random) -> None:
+    """Full-period sums: 0 for p odd; 2^(n-1) mod 2^n for p = 2, both branches.
+
+    p = 2 runs up to the top level, the odd primes stop one level below it.
+    """
     for p in (3, 5):
-        for n in range(1, min(depth, 5) + 1):
+        for n in range(1, top):
             qs = {_random_u1(rng, p, n + 2) for _ in range(12)}
             qs.update((1 + p, 1 + 2 * p, 1 + p**2))
             for qv in sorted(qs):
@@ -232,7 +243,7 @@ def _suite_sums(res: SuiteResult, depth: int, rng: random.Random) -> None:
                 prec = (m0 if m0 is not INF else n) + n + 1
                 s = cocycle_sum(_qparam(qv, p, prec), n)
                 res.check(s.is_zero(), lambda: f"sum p={p} n={n} q={qv}: {s} != 0")
-    for n in range(1, min(depth + 1, 6) + 1):
+    for n in range(1, top + 1):
         for qv in range(3, 2 ** (n + 2), 2):  # both odd branches, q != 1
             m0 = int_valuation(qv - 1, 2)
             s = cocycle_sum(_qparam(qv, 2, m0 + n + 1), n)
@@ -288,90 +299,57 @@ def _oracle_sweep_pairs(res: SuiteResult, p: int, n: int, qvals: list[int]) -> N
             return
 
 
-def _oracle_sweep_rich(res: SuiteResult, n: int, qvals: list[int]) -> None:
-    """p = 3, q = 4 or 7 mod 9: full residue-list comparison per parameter."""
-    kern = oracle.kernels()
-    ring = 3**n
+def _oracle_sweep_lists(res: SuiteResult, p: int, n: int, qvals: list[int]) -> None:
+    """Residue-list comparison per parameter: the p = 2 column and the rich
+    p = 3 stratum (q = 4 or 7 mod 9), whose fixed sets are not pair-shaped."""
+    ring = p**n
     brutes = {
-        c: (kern.fixed_residues(c, 3, n), oracle.brute_image(c, 3, n))
+        c: (oracle.brute_fixed_points(c, p, n), oracle.brute_image(c, p, n))
         for c in _classes(qvals, ring)
     }
     for qv in qvals:
-        q = _qparam(qv, 3, n + 2)
+        q = _qparam(qv, p, n + 2)
         brute, image = brutes[qv % ring]
         mine = enumerate_fixed_points(q, n).residues()
         res.check(
-            mine == list(brute),
-            lambda: f"membership p=3 n={n} q={qv}: enumerate {mine[:6]}..., oracle {list(brute)[:6]}...",
+            mine == brute,
+            lambda: f"membership p={p} n={n} q={qv}: enumerate {mine[:6]}..., oracle {brute[:6]}...",
         )
-        res.check(
-            count_fixed_points(q, n) == len(brute),
-            lambda: f"count p=3 n={n} q={qv}: {count_fixed_points(q, n)} != {len(brute)}",
-        )
+        count = count_fixed_points(q, n)
+        res.check(count == len(brute), lambda: f"count p={p} n={n} q={qv}: {count} != {len(brute)}")
         img = image_description(q, n)
         res.check(
-            img.covers_all and len(image) == ring,
-            lambda: f"image p=3 n={n} q={qv}: brute size {len(image)}, descriptor {img}",
+            img.count() == len(image) and all(map(img.contains, image)),
+            lambda: f"image p={p} n={n} q={qv}: brute size {len(image)}, descriptor {img}",
         )
         ko = kernel_order(q, n)
-        res.check(ko == len(image), lambda: f"kernel p=3 n={n} q={qv}: {ko} != {len(image)}")
-        if res.saturated:
-            return
-
-
-def _oracle_sweep_p2(res: SuiteResult, n: int, qvals: list[int]) -> None:
-    """p = 2: small moduli, so everything is compared set-for-set in Python."""
-    ring = 2**n
-    brutes = {
-        c: (oracle.brute_fixed_points(c, 2, n), oracle.brute_image(c, 2, n))
-        for c in _classes(qvals, ring)
-    }
-    for qv in qvals:
-        q = _qparam(qv, 2, n + 2)
-        brute, image = brutes[qv % ring]
-        fps = enumerate_fixed_points(q, n)
-        res.check(
-            fps.residues() == brute,
-            lambda: f"membership p=2 n={n} q={qv}: enumerate {fps.residues()}, oracle {brute}",
-        )
-        res.check(
-            count_fixed_points(q, n) == len(brute),
-            lambda: f"count p=2 n={n} q={qv}: {count_fixed_points(q, n)} != {len(brute)}",
-        )
-        img = image_description(q, n)
-        got = set(range(ring)) if img.covers_all else set(img.residues())
-        res.check(
-            got == set(image),
-            lambda: f"image p=2 n={n} q={qv}: descriptor {sorted(got)[:8]}, brute {sorted(image)[:8]}",
-        )
-        ko = kernel_order(q, n)
-        # q = -1 at every available digit is indistinguishable from the
-        # two-element torsion case, where the map is injective on its whole
-        # (two-element) domain: the numeric shadow of the sentinel is 2.
+        # q = -1 at every available digit (p = 2) is indistinguishable from
+        # the two-element torsion case, where the map is injective on its
+        # whole (two-element) domain: the numeric shadow of the sentinel is 2.
         want = 2 if ko is INJECTIVE_ON_ALL else ko
-        res.check(want == len(image), lambda: f"kernel p=2 n={n} q={qv}: {ko} != {len(image)}")
+        res.check(want == len(image), lambda: f"kernel p={p} n={n} q={qv}: {ko} != {len(image)}")
         if res.saturated:
             return
 
 
-def _suite_oracle_equivalence(res: SuiteResult, depth: int, rng: random.Random) -> None:
+def _suite_oracle_equivalence(res: SuiteResult, top: int, rng: random.Random) -> None:
     """enumerate/count/image/kernel vs the brute oracle, every U1 parameter.
 
-    Grid: p in {2,3,5,7}, n <= depth, all q in 1+pZ mod p^(n+2).  The
+    Grid: p in {2,3,5,7}, n <= top, all q in 1+pZ mod p^(n+2).  The
     oracle scans each class q mod p^n once; the closed forms run on every
     parameter.  On the pure backend the p in {5,7} columns are subsampled to
     stay tractable, and the notes say so.
     """
     pure = oracle.backend() == "pure"
     for p in (2, 3, 5, 7):
-        for n in range(1, depth + 1):
+        for n in range(1, top + 1):
             qvals = list(_u1_values(p, n))
             if p == 2:
-                _oracle_sweep_p2(res, n, qvals)
+                _oracle_sweep_lists(res, 2, n, qvals)
             elif p == 3:
                 rich = [q for q in qvals if q % 9 in (4, 7)]
                 rest = [q for q in qvals if q % 9 not in (4, 7)]
-                _oracle_sweep_rich(res, n, rich)
+                _oracle_sweep_lists(res, 3, n, rich)
                 _oracle_sweep_pairs(res, 3, n, rest)
             else:
                 if pure and len(qvals) > 600:
@@ -389,7 +367,7 @@ def _suite_oracle_equivalence(res: SuiteResult, depth: int, rng: random.Random) 
 # ---------------------------------------------------------------------------
 
 
-def _suite_criterion(res: SuiteResult, depth: int, rng: random.Random) -> None:
+def _suite_criterion(res: SuiteResult, top: int, rng: random.Random) -> None:
     """Pair-criterion soundness everywhere, exactness outside the rich stratum.
 
     Sound: criterion true implies fixed (against the brute scan).  Exact: for
@@ -398,7 +376,7 @@ def _suite_criterion(res: SuiteResult, depth: int, rng: random.Random) -> None:
     scan runs once per class q mod p^n, the criterion on every parameter.
     """
     for p in (2, 3, 5):
-        for n in range(1, depth + 1):
+        for n in range(1, top + 1):
             ring = p**n
             if p == 5:
                 qvals = sorted({_random_u1(rng, p, n + 2) for _ in range(40)})
@@ -425,14 +403,13 @@ def _suite_criterion(res: SuiteResult, depth: int, rng: random.Random) -> None:
                     return
 
 
-def _suite_census(res: SuiteResult, depth: int, rng: random.Random) -> None:
-    """Rooted/no-rooted parameter counts at p = 3, levels 4, 5, 6.
+def _suite_census(res: SuiteResult, top: int, rng: random.Random) -> None:
+    """Rooted/no-rooted parameter counts at p = 3, levels 4 to the top level.
 
     Over all 2*3^(n-2) branch parameters mod 3^n: rooted count
     2(3^(n-2) - 3^floor((n-1)/2)), the rest no-rooted, split evenly between
     branches, and the per-valuation rooted counts are 4*3^(n-v0-2).
     """
-    top = max(6, min(depth + 1, 8))
     for n in range(4, top + 1):
         per_branch = {"seven": 0, "four": 0}
         per_v0: dict[int, int] = {}
@@ -468,10 +445,9 @@ def _suite_census(res: SuiteResult, depth: int, rng: random.Random) -> None:
             )
 
 
-def _suite_propagation(res: SuiteResult, depth: int, rng: random.Random) -> None:
+def _suite_propagation(res: SuiteResult, top: int, rng: random.Random) -> None:
     """Rooted points persist: the level-(n+1) root extends the level-n root
     by exactly the digit propagate_rooted names."""
-    top = depth + 3
     qvals = sorted({1 + 3 * rng.randrange(3 ** (top + 1)) for _ in range(80)})
     for qv in qvals:
         if qv % 9 not in (4, 7):
@@ -499,15 +475,16 @@ def _suite_propagation(res: SuiteResult, depth: int, rng: random.Random) -> None
             prev = hit
 
 
-def _suite_exceptional_minimality(res: SuiteResult, depth: int, rng: random.Random) -> None:
+def _suite_exceptional_minimality(res: SuiteResult, top: int, rng: random.Random) -> None:
     """Truncations of the exceptional parameters have no rooted points.
 
     For k-digit truncations, no level n <= 2k-1 admits a rooted fixed point;
     the first digit where a zero-padding diverges from the true parameter
-    pushes any root beyond that window.  k is capped by depth; find_rooted
-    costs a few evaluations per level, so the cap bounds coverage, not cost.
+    pushes any root beyond that window.  The top level 2k-1 sets k;
+    find_rooted costs a few evaluations per level, so the table's cap on k
+    bounds coverage, not cost.
     """
-    top_k = min(depth + 1, 8)
+    top_k = (top + 1) // 2
     for branch in BRANCHES:
         for k in range(2, top_k + 1):
             qk = exceptional_q(branch, k)
@@ -520,7 +497,7 @@ def _suite_exceptional_minimality(res: SuiteResult, depth: int, rng: random.Rand
                 )
 
 
-def _suite_stability(res: SuiteResult, depth: int, rng: random.Random) -> None:
+def _suite_stability(res: SuiteResult, top: int, rng: random.Random) -> None:
     """Fixed-point counts: eventually constant generically, growing at the
     exceptional truncations.
 
@@ -551,12 +528,12 @@ def _suite_stability(res: SuiteResult, depth: int, rng: random.Random) -> None:
                 got == want,
                 lambda: f"stability q={qv} n={n}: count {got} != constant {want}",
             )
-    # The truncation window stops at level 12, inside the levels n <= 2k - 1
-    # = 15 at which an 8-digit truncation has no rooted point.
+    # The truncation window stops at the top level (12), inside the levels
+    # n <= 2k - 1 = 15 at which an 8-digit truncation has no rooted point.
     for branch in BRANCHES:
         qk = exceptional_q(branch, probe)
         counts = {}
-        for n in range(2, 13):
+        for n in range(2, top + 1):
             q = QParameter(qk.zero_extend(max(n + 1, probe)))
             got = count_fixed_points(q, n)
             want = 3 ** (n - n // 2) + 3
@@ -565,7 +542,7 @@ def _suite_stability(res: SuiteResult, depth: int, rng: random.Random) -> None:
                 got == want,
                 lambda: f"stability {branch} truncation n={n}: count {got} != {want}",
             )
-        for n in range(2, 11):
+        for n in range(2, top - 1):
             res.check(
                 counts[n] < counts[n + 2],
                 lambda: f"stability {branch}: count not increasing {n}->{n + 2}",
@@ -586,7 +563,7 @@ def _random_admissible_z(rng: random.Random, digits: int) -> PadicInt:
     return PadicInt.from_int(offset + u * 3**v0, 3, digits)
 
 
-def _suite_roundtrip(res: SuiteResult, depth: int, rng: random.Random) -> None:
+def _suite_roundtrip(res: SuiteResult, top: int, rng: random.Random) -> None:
     """psi and phi invert one another, with the documented precision loss.
 
     z-side: q = psi(z, P) satisfies the fixedness witness at level P+v0 and
@@ -595,7 +572,7 @@ def _suite_roundtrip(res: SuiteResult, depth: int, rng: random.Random) -> None:
     holds in both directions.
     """
     for _ in range(200):
-        P = rng.randint(6, max(8, depth + 4))
+        P = rng.randint(6, top)
         z = _random_admissible_z(rng, P + 6)
         v0 = (z * (z - 1)).valuation()
         q = psi(z, P)
@@ -612,7 +589,7 @@ def _suite_roundtrip(res: SuiteResult, depth: int, rng: random.Random) -> None:
             lambda: f"phi(psi({z}), {P}) = {back} != z mod 3^{P - 1}",
         )
 
-        N = rng.randint(6, max(8, depth + 4))
+        N = rng.randint(6, top)
         qv = 1 + 3 * rng.randrange(3 ** (N + 1))
         if qv % 9 not in (4, 7):
             continue
@@ -637,9 +614,10 @@ def _suite_roundtrip(res: SuiteResult, depth: int, rng: random.Random) -> None:
             )
 
 
-def _suite_isometry(res: SuiteResult, depth: int, rng: random.Random) -> None:
-    """v(F(x) - F(x')) = v(x - x') (and likewise G), 100 pairs at precision 10."""
-    P = 10
+def _suite_isometry(res: SuiteResult, top: int, rng: random.Random) -> None:
+    """v(F(x) - F(x')) = v(x - x') (and likewise G), 100 pairs at the top
+    level (precision 10)."""
+    P = top
     for _ in range(100):
         x = rng.randrange(3 ** (P + 1))
         v = rng.randint(0, P - 1)
@@ -660,8 +638,8 @@ def _suite_isometry(res: SuiteResult, depth: int, rng: random.Random) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _suite_order(res: SuiteResult, depth: int, rng: random.Random) -> None:
-    """mult_order vs plain power iteration, all units, p in {2,3,5,7}, n <= 6.
+def _suite_order(res: SuiteResult, top: int, rng: random.Random) -> None:
+    """mult_order vs plain power iteration, all units, p in {2,3,5,7}, n <= top.
 
     On the pure backend the p in {5,7} columns stop at n <= 4, and the notes
     say so.  The pure order_sweep walks each cyclic subgroup once, so the cap
@@ -669,7 +647,6 @@ def _suite_order(res: SuiteResult, depth: int, rng: random.Random) -> None:
     """
     kern = oracle.kernels()
     pure = oracle.backend() == "pure"
-    top = min(6, depth + 1)
     for p in (2, 3, 5, 7):
         cap = top
         if pure and p >= 5:
@@ -693,70 +670,84 @@ def _suite_order(res: SuiteResult, depth: int, rng: random.Random) -> None:
 # registry
 # ---------------------------------------------------------------------------
 
-SUITES = {
-    "cocycle-identity": _suite_cocycle_identity,
-    "identities": _suite_identities,
-    "norm": _suite_norm,
-    "valuation": _suite_valuation,
-    "sums": _suite_sums,
-    "oracle-equivalence": _suite_oracle_equivalence,
-    "criterion": _suite_criterion,
-    "census": _suite_census,
-    "propagation": _suite_propagation,
-    "exceptional-minimality": _suite_exceptional_minimality,
-    "stability": _suite_stability,
-    "roundtrip": _suite_roundtrip,
-    "isometry": _suite_isometry,
-    "order": _suite_order,
+class _Row(NamedTuple):
+    """One suite's declaration: the only place that reads `depth`."""
+
+    body: Callable[[SuiteResult, int, random.Random], None]  # called with the top level
+    default: bool  # in the acceptance set that `verify` runs by default
+    oracle: bool  # checked against the brute oracle (the record's method)
+    top: Callable[[int], int]  # top level reached at a given depth
+    ring: tuple[int, int] | None = None  # (p, k): scans the residues mod p**(top - k)
+
+
+_TABLE = {
+    "cocycle-identity": _Row(_suite_cocycle_identity, True, False, lambda d: d),
+    "identities": _Row(_suite_identities, True, False, lambda d: d),
+    "norm": _Row(_suite_norm, True, False, lambda d: d, (7, 0)),
+    "valuation": _Row(_suite_valuation, True, False, lambda d: d, (5, 0)),
+    "sums": _Row(_suite_sums, False, False, lambda d: min(d + 1, 6), (5, 1)),
+    "oracle-equivalence": _Row(_suite_oracle_equivalence, False, True, lambda d: d, (7, 0)),
+    "criterion": _Row(_suite_criterion, True, True, lambda d: d, (5, 0)),
+    "census": _Row(_suite_census, False, False, lambda d: max(6, min(d + 1, 8))),
+    "propagation": _Row(_suite_propagation, True, False, lambda d: d + 3),
+    "exceptional-minimality": _Row(
+        _suite_exceptional_minimality, False, False, lambda d: 2 * min(d + 1, 8) - 1
+    ),
+    "stability": _Row(_suite_stability, False, False, lambda d: 12),
+    "roundtrip": _Row(_suite_roundtrip, True, False, lambda d: max(8, d + 4)),
+    "isometry": _Row(_suite_isometry, True, False, lambda d: 10),
+    # left out of the ring check: its grid stops at n <= 6, though 7^6 is past the default budget
+    "order": _Row(_suite_order, False, True, lambda d: min(6, d + 1)),
 }
+
+SUITES = {name: row.body for name, row in _TABLE.items()}
 
 #: The suites acceptance-style verification runs by default (the rest are
 #: heavyweight grids invoked by name).
-DEFAULT_SUITES = (
-    "cocycle-identity",
-    "identities",
-    "norm",
-    "valuation",
-    "criterion",
-    "propagation",
-    "roundtrip",
-    "isometry",
-)
+DEFAULT_SUITES = tuple(name for name, row in _TABLE.items() if row.default)
 
 
-#: The prime p of the top ring p**depth that each depth-scaled suite walks.
-_TOP_RING_PRIME = {"oracle-equivalence": 7, "norm": 7, "valuation": 5, "criterion": 5}
+def _within(check, value: int, where: str) -> None:
+    """Run a config check, naming the suite's reach in its ResourceError."""
+    try:
+        check(value)
+    except ResourceError as exc:
+        raise ResourceError(f"{exc}; {where}") from None
 
 
-def _check_depth(names, depth: int) -> None:
-    """Refuse a depth whose top ring, in any named suite, exceeds the scan budget.
+def _top_levels(names, depth: int) -> list[int]:
+    """The top level of each named suite at `depth`, once every one is in reach.
 
-    Raises ResourceError before any suite runs, so a refused call does no work.
+    Raises before any suite runs, so a refused call does no work: DomainError
+    for a depth below 1, ResourceError for a ring beyond the scan budget or a
+    top level beyond the precision cap.
     """
+    if depth < 1:
+        raise DomainError(f"--depth must be at least 1, got {depth}")
+    tops = []
     for name in names:
-        p = _TOP_RING_PRIME.get(name)
-        if p is None:
-            continue
-        # p**31 >= 2**31 is refused anyway; the bound spares a huge power
-        size = p**depth if depth < 31 else SCAN_CEILING
-        try:
-            check_scan_size(size)
-        except ResourceError as exc:
-            raise ResourceError(f"{exc}; suite {name} walks {p}^{depth}") from None
+        row = _TABLE[name]
+        top = row.top(depth)
+        if row.ring is not None:
+            p, k = row.ring
+            e = top - k
+            # p**31 >= 2**31 is refused anyway; the bound spares a huge power
+            _within(check_scan_size, p**e if e < 31 else SCAN_CEILING, f"suite {name} walks {p}^{e}")
+        _within(check_precision_request, top, f"suite {name} reaches level {top}")
+        tops.append(top)
+    return tops
 
 
 def run_suite(name: str, depth: int = 5, seed: int = 0) -> SuiteResult:
     """Run one named suite and return its result (no exceptions on failure).
 
-    A depth beyond the scan budget raises ResourceError (see _check_depth).
+    A depth out of reach raises before the suite runs (see _top_levels).
     """
-    if name not in SUITES:
-        raise KeyError(name)
-    _check_depth([name], depth)
-    res = SuiteResult(name=name)
+    (top,) = _top_levels([name], depth)
+    res = SuiteResult(name=name, top_level=top, oracle=_TABLE[name].oracle)
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    SUITES[name](res, depth, rng)
+    SUITES[name](res, top, rng)
     res.seconds = time.perf_counter() - t0
     if res.saturated:
         res.notes.append(f"stopped after {_MAX_FAILURES} counterexamples")
@@ -764,6 +755,6 @@ def run_suite(name: str, depth: int = 5, seed: int = 0) -> SuiteResult:
 
 
 def run_suites(names, depth: int = 5, seed: int = 0) -> list[SuiteResult]:
-    """Run the named suites in order, once _check_depth has passed them all."""
-    _check_depth(names, depth)
+    """Run the named suites in order, once _top_levels has passed them all."""
+    _top_levels(names, depth)
     return [run_suite(name, depth=depth, seed=seed) for name in names]

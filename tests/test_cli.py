@@ -404,7 +404,7 @@ def test_verify_all_refuses_depth_six_before_any_suite_runs(monkeypatch, capsys)
 
 
 @pytest.mark.parametrize(
-    "suite,top", [("norm", 7**4), ("valuation", 5**4), ("criterion", 5**4)]
+    "suite,top", [("norm", 7**4), ("valuation", 5**4), ("criterion", 5**4), ("sums", 5**4)]
 )
 def test_depth_scaled_suites_respect_the_scan_budget(suite, top, monkeypatch, capsys):
     monkeypatch.setenv("QADIC_SCAN_BUDGET", str(7**3))
@@ -414,6 +414,62 @@ def test_depth_scaled_suites_respect_the_scan_budget(suite, top, monkeypatch, ca
     assert f"verify --depth 4: scan of size {top} exceeds budget 343" in captured.err
     assert f"suite {suite} walks" in captured.err
     assert run(["verify", "--suite", suite, "--depth", "3"]) == 0
+
+
+@pytest.mark.parametrize("suite, top", [("propagation", 203), ("roundtrip", 204)])
+def test_level_growing_suites_refuse_depth_200_before_running(suite, top, monkeypatch, capsys):
+    def boom(*args):
+        raise AssertionError(f"{suite} ran")
+
+    monkeypatch.delenv("QADIC_PRECISION_CAP", raising=False)
+    monkeypatch.setitem(qadic.suites.SUITES, suite, boom)
+    assert run(["verify", "--suite", suite, "--depth", "200"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"resource cap: verify --depth 200: requested precision {top} exceeds cap 64"
+        f" (QADIC_PRECISION_CAP); suite {suite} reaches level {top}\n"
+    )
+
+
+def test_verify_checks_each_top_level_against_the_precision_cap(monkeypatch, capsys):
+    monkeypatch.setenv("QADIC_PRECISION_CAP", "10")
+    assert run(["verify", "--suite", "propagation", "--depth", "8"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verify --depth 8: requested precision 11 exceeds cap 10" in captured.err
+    assert "suite propagation reaches level 11" in captured.err
+    assert run(["verify", "--suite", "propagation", "--depth", "7"]) == 0
+
+
+TOP_LEVELS_AT_DEPTH_FOUR = {
+    "cocycle-identity": 4,
+    "identities": 4,
+    "norm": 4,
+    "valuation": 4,
+    "sums": 5,
+    "oracle-equivalence": 4,
+    "criterion": 4,
+    "census": 6,
+    "propagation": 7,
+    "exceptional-minimality": 9,
+    "stability": 12,
+    "roundtrip": 8,
+    "isometry": 10,
+    "order": 5,
+}
+
+
+def test_verify_records_the_top_level_each_body_was_given(monkeypatch, capsys):
+    given = {}
+    for name in qadic.suites.SUITES:
+        monkeypatch.setitem(
+            qadic.suites.SUITES, name, lambda res, top, rng, name=name: given.setdefault(name, top)
+        )
+    assert run(["verify", "--suite", "all", "--depth", "4", "--json"]) == 0
+    entries = OutputRecord.from_line(out_of(capsys)).result["suites"]
+    assert {e["name"]: e["top_level"] for e in entries} == TOP_LEVELS_AT_DEPTH_FOUR
+    assert given == TOP_LEVELS_AT_DEPTH_FOUR
 
 
 @pytest.mark.parametrize("command", [["iota", "--z", "1"], ["fixed", "count"]])

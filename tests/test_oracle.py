@@ -119,20 +119,6 @@ def test_brute_fixed_argument_errors():
         oracle.brute_fixed_points(PadicInt.from_int(7, 3, 2), n=3)
 
 
-# -- brute orders ------------------------------------------------------------
-
-
-def test_brute_order_examples():
-    assert oracle.brute_order(3, 2, 4) == 4
-    assert oracle.brute_order(2, 5, 2) == 20
-    assert oracle.brute_order(4, 3, 5) == 81
-
-
-def test_brute_order_rejects_nonunit():
-    with pytest.raises(DomainError):
-        oracle.brute_order(6, 3, 2)
-
-
 # -- brute images ------------------------------------------------------------
 
 
@@ -154,21 +140,6 @@ def test_brute_image_rejects_nonunit():
         oracle.brute_image(10, 5, 2)
 
 
-# -- recurrence values -------------------------------------------------------
-
-
-def test_recurrence_prefix():
-    vals = oracle.recurrence_values(4, 3, 4, count=6)
-    assert vals == [0, 1, 5, 21, 4, 17]  # partial geometric sums mod 81
-    for z, v in enumerate(vals):
-        assert v == sum(4**k for k in range(z)) % 81
-
-
-def test_recurrence_count_budget():
-    with pytest.raises(ResourceError):
-        oracle.recurrence_values(4, 3, 4, count=20_000)
-
-
 # -- scan budget -------------------------------------------------------------
 
 
@@ -188,7 +159,7 @@ def test_scan_refuses_moduli_beyond_the_int64_kernels(monkeypatch):
     # s * q % M overflows 64 bits once M reaches 2**31, whatever the budget
     monkeypatch.setenv("QADIC_SCAN_BUDGET", "10000000000")
     with pytest.raises(ResourceError, match="2\\*\\*31"):
-        oracle.brute_order(3**20 - 1, 3, 20)
+        oracle.brute_fixed_points(4, 3, 20)
 
 
 # -- cross-route self-consistency -------------------------------------------

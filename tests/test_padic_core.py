@@ -17,13 +17,10 @@ from qadic.padic_core import (
     exact_div,
     from_rational,
     int_valuation,
-    kummer_valuation,
-    legendre_valuation,
     mult_order,
     parse_value,
     residue_of,
     unit_inverse,
-    valuation,
 )
 
 PRIMES = (2, 3, 5, 7)
@@ -239,25 +236,6 @@ def test_mult_order_examples():
 def test_mult_order_needs_precision():
     with pytest.raises(PrecisionError):
         mult_order(PadicInt.from_int(3, 2, 2), 4)
-
-
-# -- factorial / binomial valuations ----------------------------------------
-
-
-def test_legendre_small_values():
-    assert legendre_valuation(10, 3) == 4
-    assert legendre_valuation(0, 5) == 0
-
-
-def test_kummer_equals_legendre_difference_exhaustive():
-    # exhaustive: all 0 <= b <= a <= 200, every test prime
-    for p in PRIMES:
-        for a in range(201):
-            la = legendre_valuation(a, p)
-            for b in range(a + 1):
-                lhs = kummer_valuation(a, b, p)
-                rhs = la - legendre_valuation(b, p) - legendre_valuation(a - b, p)
-                assert lhs == rhs, (p, a, b)
 
 
 # -- parse_value -------------------------------------------------------------

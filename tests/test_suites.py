@@ -7,6 +7,7 @@ import pytest
 
 import qadic.suites
 from qadic import _scan_py, oracle
+from qadic.errors import DomainError
 from qadic.suites import DEFAULT_SUITES, SUITES, SuiteResult, run_suite, run_suites
 
 
@@ -171,3 +172,49 @@ def test_a_wrong_mult_order_fails_the_order_suite(pure_kernels, monkeypatch):
     r = run_suite("order", depth=3)
     assert not r.passed
     assert r.failures == ["order p=7 n=4 q=3: formula 14406, iteration 2058"]
+
+
+# -- one table declares every suite's reach -------------------------------------
+
+#: (cases, notes, top level) of every suite at depth 3, seed 0, pure kernels.
+GRIDS_AT_DEPTH_THREE = {
+    "cocycle-identity": (500, [], 3),
+    "identities": (865, [], 3),
+    "norm": (5445, [], 3),
+    "valuation": (10970, [], 3),
+    "sums": (131, [], 4),
+    "oracle-equivalence": (
+        9329,
+        [f"pure backend: p={p} n=3 column subsampled to 600 parameters" for p in (5, 7)],
+        3,
+    ),
+    "criterion": (15688, [], 3),
+    "census": (13, [], 6),
+    "propagation": (115, [], 6),
+    "exceptional-minimality": (24, [], 7),
+    "stability": (148, [], 12),
+    "roundtrip": (859, [], 8),
+    "isometry": (200, [], 10),
+    "order": (3119, [f"pure backend: p={p} order grid capped at n<=4" for p in (5, 7)], 4),
+}
+
+
+def test_every_grid_at_depth_three(pure_kernels):
+    results = run_suites(list(SUITES), depth=3, seed=0)
+    assert all(r.passed for r in results)
+    assert {r.name: (r.cases, r.notes, r.top_level) for r in results} == GRIDS_AT_DEPTH_THREE
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_every_suite_refuses_a_depth_below_one(depth, monkeypatch):
+    def boom(*args):
+        raise AssertionError("a suite ran")
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, boom)
+    message = f"^--depth must be at least 1, got {depth}$"
+    for name in SUITES:
+        with pytest.raises(DomainError, match=message):
+            run_suite(name, depth=depth)
+    with pytest.raises(DomainError, match=message):
+        run_suites(list(SUITES), depth=depth)
