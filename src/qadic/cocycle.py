@@ -13,6 +13,7 @@ documented special case.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .config import check_listing_size, check_scan_size
@@ -23,6 +24,7 @@ from .padic_core import (
     PadicInt,
     as_qparameter,
     check_disjoint,
+    coset_pair,
     exact_div,
     int_valuation,
     mult_order,
@@ -215,6 +217,14 @@ def kernel_order(q, n: int):
     return mult_order(q.value, n)
 
 
+@functools.lru_cache(maxsize=256)
+def _pair_image(p: int, n: int, e: int) -> ImageDescription:
+    """The image mod p**n as the coset pair at exponent e, or the full ring
+    at e = 0: a function of (p, n, e) alone, built and validated once per
+    shape."""
+    return ImageDescription(p, n, e == 0, coset_pair(p, e))
+
+
 def image_description(q, n: int) -> ImageDescription:
     """The image of the level-n map as cosets, per the three-case structure:
     full ring; the 2^min(l0,n)-coset pair for p = 2, q = 3 mod 4; or the
@@ -225,17 +235,13 @@ def image_description(q, n: int) -> ImageDescription:
     if n < 1:
         raise DomainError("modulus exponent must be at least 1")
 
-    def full() -> ImageDescription:
-        zero = PadicInt.from_int(0, p, 1)
-        return ImageDescription(p, n, True, (CosetDescriptor(zero, 0),))
-
     if q.in_u1:
         if q.m0 is INF:
             if p == 2 and q.precision < 2 and n >= 2:
                 raise PrecisionError("one digit of q cannot resolve the unit branch")
-            return full()
+            return _pair_image(p, n, 0)
         if p != 2 or q.in_u2:
-            return full()
+            return _pair_image(p, n, 0)
         # p = 2, q = 3 mod 4: image is 2^e Z union 1 + 2^e Z at e = min(l0, n)
         l0 = q.l0
         if l0 is INF:
@@ -246,11 +252,8 @@ def image_description(q, n: int) -> ImageDescription:
             e = n
         else:
             e = min(l0, n)
-        if n == 1:
-            # e = 1 and the pair {0}, {1} is everything mod 2
-            return full()
-        cosets = tuple(CosetDescriptor(PadicInt.from_int(b, p, e), e) for b in (0, 1))
-        return ImageDescription(p, n, False, cosets)
+        # at n = 1, e = 1 and the pair {0}, {1} is everything mod 2
+        return _pair_image(p, n, 0 if n == 1 else e)
 
     # p odd, q outside 1 + pZ_p: o_p cosets with spacing p^min(m, n); m >= 1
     # always, so e >= 1.

@@ -14,10 +14,12 @@ QADIC_PRECISION_CAP   largest output precision a caller may ask for, in
                       digits (default 64).  The CLI checks the caller's own
                       --n or --precision once, at entry, and `verify` checks
                       each suite's top level the same way before any suite
-                      runs; the library computes
-                      at whatever precision it is given, including the higher
-                      working levels it derives (phi and psi run a few
-                      digits above their output).  exceptional_q alone
+                      runs.  The cap bounds a suite's level, not its time:
+                      on the pure backend `verify --suite propagation
+                      --depth 61` (level 64) takes 11-16 s.  The library
+                      computes at whatever precision it is given, including
+                      the higher working levels it derives (phi and psi run
+                      a few digits above their output).  exceptional_q alone
                       bounds its working level, since digit d needs a
                       fixedness test at level 2d - 1.
 QADIC_BACKEND         set to "pure" to force the pure-Python scan kernels even

@@ -11,6 +11,7 @@ with v0 < (n-1)/2 persists and propagates upward one digit at a time, while
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .config import check_listing_size
@@ -22,6 +23,7 @@ from .padic_core import (
     as_qparameter,
     capped_valuation,
     check_disjoint,
+    coset_pair,
     int_valuation,
     residue_of,
 )
@@ -170,6 +172,14 @@ def _enumerate_rich(q, n: int) -> FixedPointSet:
     return FixedPointSet(p, n, _sorted_cosets(cosets), KIND_DRIFTING, e, None)
 
 
+@functools.lru_cache(maxsize=256)
+def _pair_set(p: int, n: int, e: int) -> FixedPointSet:
+    """The pairs-only fixed set mod p**n at coset exponent e (0: the full
+    ring).  It depends on q only through (p, n, e), so each shape is built
+    and validated once and shared by every parameter that has it."""
+    return FixedPointSet(p, n, coset_pair(p, e), KIND_PAIRS)
+
+
 def enumerate_fixed_points(q, n: int) -> FixedPointSet:
     """The complete fixed set mod p**n.
 
@@ -190,8 +200,7 @@ def enumerate_fixed_points(q, n: int) -> FixedPointSet:
         # q = 1 mod p^n: every residue is fixed
         if q.precision < n:
             raise PrecisionError(f"need q mod {p}^{n}, have {q.precision} digits")
-        full = CosetDescriptor(PadicInt.from_int(0, p, 1), 0)
-        return FixedPointSet(p, n, (full,), KIND_PAIRS)
+        return _pair_set(p, n, 0)
 
     if p == 3 and m0 == 1 and n >= 2:
         if q.precision < 1 + n:
@@ -199,16 +208,16 @@ def enumerate_fixed_points(q, n: int) -> FixedPointSet:
         return _enumerate_rich(q, n)
 
     # two-coset regime
-    e = n - m0 + (1 if p == 2 else 0)
-    cosets = _sorted_cosets(
-        CosetDescriptor(PadicInt.from_int(b, p, e), e) for b in (0, 1)
-    )
-    return FixedPointSet(p, n, cosets, KIND_PAIRS)
+    return _pair_set(p, n, n - m0 + (1 if p == 2 else 0))
 
 
 def count_fixed_points(q, n: int) -> int:
     """|fixed set mod p**n|; closed forms 2p^m0 / 2^m0 / 2·3^(v0+1)+3 /
-    3^(n-floor(n/2))+3 / p^n are checked against this as test identities."""
+    3^(n-floor(n/2))+3 / p^n are checked against this as test identities.
+
+    q's own m0 and regime are computed on every call; a pair-shaped set is
+    the one enumerate_fixed_points built once for its (p, n, e), so
+    counting after enumerating rebuilds nothing."""
     return enumerate_fixed_points(q, n).count()
 
 

@@ -472,6 +472,13 @@ def check_disjoint(cosets) -> None:
                 raise InvariantError(f"cosets {a} and {b} overlap")
 
 
+def coset_pair(p: int, e: int) -> tuple[CosetDescriptor, ...]:
+    """p**e·Z and 1 + p**e·Z, in that order; the single full-ring coset when e = 0."""
+    if e == 0:
+        return (CosetDescriptor(PadicInt.from_int(0, p, 1), 0),)
+    return tuple(CosetDescriptor(PadicInt.from_int(b, p, e), e) for b in (0, 1))
+
+
 # -- the parameter wrapper ---------------------------------------------------
 
 

@@ -20,8 +20,10 @@ shrink their grid there and say so in `notes`.
 
 The oracle's recurrence s(z+1) = q*s(z) + 1 mod p^n sees q only through
 q mod p^n, so the oracle-backed sweeps scan each class q mod p^n once per
-suite call and check every parameter of the class against that one scan;
-the closed-form side still runs on every parameter.
+suite call and check every parameter of the class against that one scan.
+On the closed-form side each parameter still gets its own QParameter, m0
+(or l0) and regime; the pair-shaped fixed sets and images that regime lands
+on depend only on (p, n, e), and each is built and validated once per shape.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import oracle
-from .config import SCAN_CEILING, check_precision_request, check_scan_size
+from .config import check_precision_request, check_scan_size
 from .cocycle import (
     INJECTIVE_ON_ALL,
     cocycle_sum,
@@ -261,9 +263,10 @@ def _oracle_sweep_pairs(res: SuiteResult, p: int, n: int, qvals: list[int]) -> N
 
     The kernel walks the recurrence once per class q mod p^n and checks
     membership against the two-coset rule for a0 = p^(n-m0) directly (m0 is
-    capped at n, so a0 is a function of the class too); Python only has to
-    agree, parameter by parameter, on the descriptors, counts, and
-    image/kernel sizes.
+    capped at n, so a0 is a function of the class too).  Python then checks,
+    parameter by parameter, the descriptors, counts and image/kernel sizes
+    that the closed forms give from that parameter's own m0; the descriptor
+    objects are shared by every parameter of one shape (p, n, e).
     """
     ring = p**n
     classes = _classes(qvals, ring)
@@ -336,9 +339,10 @@ def _suite_oracle_equivalence(res: SuiteResult, top: int, rng: random.Random) ->
     """enumerate/count/image/kernel vs the brute oracle, every U1 parameter.
 
     Grid: p in {2,3,5,7}, n <= top, all q in 1+pZ mod p^(n+2).  The
-    oracle scans each class q mod p^n once; the closed forms run on every
-    parameter.  On the pure backend the p in {5,7} columns are subsampled to
-    stay tractable, and the notes say so.
+    oracle scans each class q mod p^n once; each parameter's m0, l0 and
+    regime are computed on their own, and its pair-shaped set and image are
+    the shared ones for its (p, n, e).  On the pure backend the p in {5,7}
+    columns are subsampled to stay tractable, and the notes say so.
     """
     pure = oracle.backend() == "pure"
     for p in (2, 3, 5, 7):
@@ -731,8 +735,9 @@ def _top_levels(names, depth: int) -> list[int]:
         if row.ring is not None:
             p, k = row.ring
             e = top - k
-            # p**31 >= 2**31 is refused anyway; the bound spares a huge power
-            _within(check_scan_size, p**e if e < 31 else SCAN_CEILING, f"suite {name} walks {p}^{e}")
+            if e >= 31:  # p**e >= 2**31: refused without building a huge power
+                raise ResourceError(f"suite {name} walks {p}^{e}, past the kernels' 64-bit ceiling 2**31")
+            _within(check_scan_size, p**e, f"suite {name} walks {p}^{e}")
         _within(check_precision_request, top, f"suite {name} reaches level {top}")
         tops.append(top)
     return tops

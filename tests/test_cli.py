@@ -416,6 +416,18 @@ def test_depth_scaled_suites_respect_the_scan_budget(suite, top, monkeypatch, ca
     assert run(["verify", "--suite", suite, "--depth", "3"]) == 0
 
 
+@pytest.mark.parametrize("suite, depth, ring", [("valuation", 40, "5^40"), ("all", 62, "7^62")])
+def test_rings_past_the_ceiling_are_named_by_their_power(suite, depth, ring, monkeypatch, capsys):
+    monkeypatch.delenv("QADIC_PRECISION_CAP", raising=False)
+    assert run(["verify", "--suite", suite, "--depth", str(depth)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ring in captured.err and "2147483648" not in captured.err
+    # below exponent 31 the true size is quoted
+    assert run(["verify", "--suite", "norm", "--depth", "12"]) == 4
+    assert "scan of size 13841287201 reaches the kernels' 64-bit ceiling" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite, top", [("propagation", 203), ("roundtrip", 204)])
 def test_level_growing_suites_refuse_depth_200_before_running(suite, top, monkeypatch, capsys):
     def boom(*args):

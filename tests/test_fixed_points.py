@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qadic import oracle
+from qadic import cocycle, fixed_points, oracle
+from qadic.cocycle import image_description
 from qadic.errors import DomainError, InvariantError, ResourceError
 from qadic.fixed_points import (
     KIND_PAIRS,
@@ -65,6 +66,19 @@ def test_counts():
 def test_degenerate_identity_parameter():
     assert count_fixed_points(qp(1, 3, 5), 3) == 27
     assert enumerate_fixed_points(qp(1, 3, 5), 2).residues() == list(range(9))
+
+
+def test_pair_shaped_sets_and_images_are_built_once_per_shape():
+    # 26, 51 and 76 all have m0 = 2 mod 5**5: one shape (p, n, e) = (5, 3, 1)
+    shared = enumerate_fixed_points(qp(26, 5, 5), 3)
+    assert enumerate_fixed_points(qp(51, 5, 5), 3) is shared
+    assert count_fixed_points(qp(76, 5, 5), 3) == 50
+    assert enumerate_fixed_points(qp(6, 5, 5), 3) is not shared  # m0 = 1: e = 2
+    assert image_description(qp(26, 5, 5), 3) is image_description(qp(6, 5, 5), 3)
+    # p = 2 with q = 3 mod 4: 3 and 11 both have l0 = 2
+    assert image_description(qp(3, 2, 7), 4) is image_description(qp(11, 2, 7), 4)
+    for cached in (fixed_points._pair_set, cocycle._pair_image):
+        assert 0 < cached.cache_info().maxsize <= 1024
 
 
 def test_fixed_listing_respects_the_scan_budget(monkeypatch):

@@ -6,7 +6,7 @@ import re
 import pytest
 
 import qadic.suites
-from qadic import _scan_py, oracle
+from qadic import _scan_py, cocycle, fixed_points, oracle
 from qadic.errors import DomainError
 from qadic.suites import DEFAULT_SUITES, SUITES, SuiteResult, run_suite, run_suites
 
@@ -136,6 +136,32 @@ def test_a_wrong_class_scan_fails_only_that_class(pure_kernels, monkeypatch):
     named = [re.fullmatch(r"count p=3 n=3 q=(\d+): .*", f) for f in r.failures]
     assert all(named), r.failures
     assert {int(m.group(1)) % 27 for m in named} == {10}
+
+
+def test_a_wrong_shared_fixed_set_fails_its_shape(pure_kernels, monkeypatch):
+    real = fixed_points._pair_set
+
+    def shifted(p, n, e):
+        return real(p, n, e + 1) if (p, n) == (5, 3) else real(p, n, e)
+
+    monkeypatch.setattr(fixed_points, "_pair_set", shifted)
+    r = run_suite("oracle-equivalence", depth=3)
+    assert not r.passed
+    assert all(re.match(r"(descriptor|count) p=5 n=3 q=\d+: ", f) for f in r.failures), r.failures
+
+
+def test_a_wrong_shared_image_fails_its_level(pure_kernels, monkeypatch):
+    real = cocycle._pair_image
+
+    def full_ring(p, n, e):
+        return real(p, n, 0) if (p, n) == (2, 3) else real(p, n, e)
+
+    monkeypatch.setattr(cocycle, "_pair_image", full_ring)
+    r = run_suite("oracle-equivalence", depth=3)
+    assert not r.passed
+    named = [re.fullmatch(r"image p=2 n=3 q=(\d+): .*", f) for f in r.failures]
+    assert all(named), r.failures
+    assert {int(m.group(1)) % 4 for m in named} == {3}  # only the pair-shaped images
 
 
 def test_oracle_equivalence_grid_on_the_pure_backend(pure_kernels):
