@@ -13,7 +13,6 @@ documented special case.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .config import check_listing_size, check_scan_size
@@ -29,6 +28,7 @@ from .padic_core import (
     int_valuation,
     mult_order,
     residue_of,
+    shared_shape,
 )
 
 
@@ -217,11 +217,11 @@ def kernel_order(q, n: int):
     return mult_order(q.value, n)
 
 
-@functools.lru_cache(maxsize=256)
+@shared_shape
 def _pair_image(p: int, n: int, e: int) -> ImageDescription:
     """The image mod p**n as the coset pair at exponent e, or the full ring
-    at e = 0: a function of (p, n, e) alone, built and validated once per
-    shape."""
+    at e = 0: a function of (p, n, e) alone, so within a sweep it is built
+    and validated once per shape."""
     return ImageDescription(p, n, e == 0, coset_pair(p, e))
 
 

@@ -35,7 +35,8 @@ from .errors import ResourceError
 DEFAULT_SCAN_BUDGET = 3**9
 DEFAULT_PRECISION_CAP = 64
 # s * q % M stays below 2**62 in the kernels' int64 arithmetic.
-SCAN_CEILING = 2**31
+SCAN_CEILING_BITS = 31
+SCAN_CEILING = 2**SCAN_CEILING_BITS
 
 
 def _env_int(name: str, default: int) -> int:
@@ -68,11 +69,20 @@ def check_precision_request(n: int) -> int:
 def check_scan_size(size: int) -> int:
     """Validate a brute-force sweep size against the configured budget."""
     if size >= SCAN_CEILING:
-        raise ResourceError(f"scan of size {size} reaches the kernels' 64-bit ceiling 2**31")
+        raise ResourceError(f"scan of size {size} reaches the kernels' 64-bit ceiling 2**{SCAN_CEILING_BITS}")
     budget = scan_budget()
     if size > budget:
         raise ResourceError(f"scan of size {size} exceeds budget {budget} (QADIC_SCAN_BUDGET)")
     return size
+
+
+def check_ring(p: int, e: int) -> int:
+    """Validate a sweep of the ring mod p**e, as check_scan_size does; a
+    ring at or past the ceiling by its exponent alone is refused by its
+    power, without building it."""
+    if e >= SCAN_CEILING_BITS:  # p**e >= 2**e >= SCAN_CEILING
+        raise ResourceError(f"scan of {p}^{e} reaches the kernels' 64-bit ceiling 2**{SCAN_CEILING_BITS}")
+    return check_scan_size(p**e)
 
 
 def check_listing_size(count: int, p: int, n: int, noun: str = "residues") -> int:

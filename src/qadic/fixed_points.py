@@ -11,7 +11,6 @@ with v0 < (n-1)/2 persists and propagates upward one digit at a time, while
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .config import check_listing_size
@@ -26,6 +25,7 @@ from .padic_core import (
     coset_pair,
     int_valuation,
     residue_of,
+    shared_shape,
 )
 from .cocycle import iota_eval
 
@@ -172,11 +172,12 @@ def _enumerate_rich(q, n: int) -> FixedPointSet:
     return FixedPointSet(p, n, _sorted_cosets(cosets), KIND_DRIFTING, e, None)
 
 
-@functools.lru_cache(maxsize=256)
+@shared_shape
 def _pair_set(p: int, n: int, e: int) -> FixedPointSet:
     """The pairs-only fixed set mod p**n at coset exponent e (0: the full
-    ring).  It depends on q only through (p, n, e), so each shape is built
-    and validated once and shared by every parameter that has it."""
+    ring).  It depends on q only through (p, n, e), so within a sweep each
+    shape is built and validated once and shared by every parameter that
+    has it."""
     return FixedPointSet(p, n, coset_pair(p, e), KIND_PAIRS)
 
 
@@ -215,9 +216,10 @@ def count_fixed_points(q, n: int) -> int:
     """|fixed set mod p**n|; closed forms 2p^m0 / 2^m0 / 2·3^(v0+1)+3 /
     3^(n-floor(n/2))+3 / p^n are checked against this as test identities.
 
-    q's own m0 and regime are computed on every call; a pair-shaped set is
-    the one enumerate_fixed_points built once for its (p, n, e), so
-    counting after enumerating rebuilds nothing."""
+    q's own m0 and regime are computed on every call.  Within a sweep
+    (a `verify` suite) a pair-shaped set is the one enumerate_fixed_points
+    built once for its (p, n, e), so counting after enumerating rebuilds
+    nothing; outside one, each call builds its own."""
     return enumerate_fixed_points(q, n).count()
 
 

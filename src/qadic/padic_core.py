@@ -12,6 +12,8 @@ never a concrete digit count and never silently compares equal to one.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -477,6 +479,44 @@ def coset_pair(p: int, e: int) -> tuple[CosetDescriptor, ...]:
     if e == 0:
         return (CosetDescriptor(PadicInt.from_int(0, p, 1), 0),)
     return tuple(CosetDescriptor(PadicInt.from_int(b, p, e), e) for b in (0, 1))
+
+
+# -- shapes shared within one sweep ------------------------------------------
+
+_SHAPE_MEMOS = []  # the lru caches behind every shared_shape builder
+_sharing = 0  # depth of open sharing_shapes() blocks
+
+
+def shared_shape(build):
+    """Decorate a builder of a frozen value that depends only on its
+    arguments.  Inside a sharing_shapes() block each value is built, and
+    validated, once and then shared (at most 256 of them); outside one,
+    every call builds afresh."""
+    memo = functools.lru_cache(maxsize=256)(build)
+    _SHAPE_MEMOS.append(memo)
+
+    @functools.wraps(build)
+    def shaped(*key):
+        return memo(*key) if _sharing else build(*key)
+
+    shaped.cache_info = memo.cache_info
+    return shaped
+
+
+@contextlib.contextmanager
+def sharing_shapes():
+    """Share shared_shape values for the length of the block.  The memos
+    are emptied when the outermost block closes, so no value outlives the
+    sweep that built it and repeated sweeps do the same work."""
+    global _sharing
+    _sharing += 1
+    try:
+        yield
+    finally:
+        _sharing -= 1
+        if not _sharing:
+            for memo in _SHAPE_MEMOS:
+                memo.cache_clear()
 
 
 # -- the parameter wrapper ---------------------------------------------------

@@ -23,7 +23,8 @@ q mod p^n, so the oracle-backed sweeps scan each class q mod p^n once per
 suite call and check every parameter of the class against that one scan.
 On the closed-form side each parameter still gets its own QParameter, m0
 (or l0) and regime; the pair-shaped fixed sets and images that regime lands
-on depend only on (p, n, e), and each is built and validated once per shape.
+on depend only on (p, n, e), and each suite run builds and validates each
+such shape once (padic_core.sharing_shapes), then drops them when it ends.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import oracle
-from .config import check_precision_request, check_scan_size
+from .config import check_precision_request, check_ring
 from .cocycle import (
     INJECTIVE_ON_ALL,
     cocycle_sum,
@@ -61,7 +62,7 @@ from .fixed_points import (
     pair_criterion,
     propagate_rooted,
 )
-from .padic_core import INF, PadicInt, QParameter, capped_valuation, int_valuation, mult_order
+from .padic_core import INF, PadicInt, QParameter, capped_valuation, int_valuation, mult_order, sharing_shapes
 
 _MAX_FAILURES = 10  # per suite; past this the grid is abandoned with a note
 
@@ -265,8 +266,9 @@ def _oracle_sweep_pairs(res: SuiteResult, p: int, n: int, qvals: list[int]) -> N
     membership against the two-coset rule for a0 = p^(n-m0) directly (m0 is
     capped at n, so a0 is a function of the class too).  Python then checks,
     parameter by parameter, the descriptors, counts and image/kernel sizes
-    that the closed forms give from that parameter's own m0; the descriptor
-    objects are shared by every parameter of one shape (p, n, e).
+    that the closed forms give from that parameter's own m0; within the
+    suite run the descriptor objects are shared by every parameter of one
+    shape (p, n, e).
     """
     ring = p**n
     classes = _classes(qvals, ring)
@@ -711,10 +713,10 @@ SUITES = {name: row.body for name, row in _TABLE.items()}
 DEFAULT_SUITES = tuple(name for name, row in _TABLE.items() if row.default)
 
 
-def _within(check, value: int, where: str) -> None:
+def _within(where: str, check, *args) -> None:
     """Run a config check, naming the suite's reach in its ResourceError."""
     try:
-        check(value)
+        check(*args)
     except ResourceError as exc:
         raise ResourceError(f"{exc}; {where}") from None
 
@@ -735,10 +737,8 @@ def _top_levels(names, depth: int) -> list[int]:
         if row.ring is not None:
             p, k = row.ring
             e = top - k
-            if e >= 31:  # p**e >= 2**31: refused without building a huge power
-                raise ResourceError(f"suite {name} walks {p}^{e}, past the kernels' 64-bit ceiling 2**31")
-            _within(check_scan_size, p**e, f"suite {name} walks {p}^{e}")
-        _within(check_precision_request, top, f"suite {name} reaches level {top}")
+            _within(f"suite {name} walks {p}^{e}", check_ring, p, e)
+        _within(f"suite {name} reaches level {top}", check_precision_request, top)
         tops.append(top)
     return tops
 
@@ -752,7 +752,8 @@ def run_suite(name: str, depth: int = 5, seed: int = 0) -> SuiteResult:
     res = SuiteResult(name=name, top_level=top, oracle=_TABLE[name].oracle)
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    SUITES[name](res, top, rng)
+    with sharing_shapes():
+        SUITES[name](res, top, rng)
     res.seconds = time.perf_counter() - t0
     if res.saturated:
         res.notes.append(f"stopped after {_MAX_FAILURES} counterexamples")

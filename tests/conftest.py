@@ -1,8 +1,4 @@
 import hypothesis
-import pytest
-
-from qadic.cocycle import _pair_image
-from qadic.fixed_points import _pair_set
 
 hypothesis.settings.register_profile(
     "qadic",
@@ -12,14 +8,3 @@ hypothesis.settings.register_profile(
 )
 hypothesis.settings.load_profile("qadic")
 
-
-@pytest.fixture(autouse=True)
-def fresh_pair_caches():
-    """Empty the shared pair-shaped fixed sets and images around every test,
-    so a fault one test patches into PadicInt, CosetDescriptor or
-    check_disjoint is never hidden by a value built in another test."""
-    _pair_set.cache_clear()
-    _pair_image.cache_clear()
-    yield
-    _pair_set.cache_clear()
-    _pair_image.cache_clear()

@@ -20,7 +20,7 @@ from qadic.fixed_points import (
     pair_criterion,
     propagate_rooted,
 )
-from qadic.padic_core import CosetDescriptor, PadicInt, QParameter, from_rational
+from qadic.padic_core import CosetDescriptor, PadicInt, QParameter, from_rational, sharing_shapes
 
 # the 21 fixed residues of the parameter 4 at level 4, long since cross-checked
 # against the brute scan
@@ -68,17 +68,26 @@ def test_degenerate_identity_parameter():
     assert enumerate_fixed_points(qp(1, 3, 5), 2).residues() == list(range(9))
 
 
-def test_pair_shaped_sets_and_images_are_built_once_per_shape():
-    # 26, 51 and 76 all have m0 = 2 mod 5**5: one shape (p, n, e) = (5, 3, 1)
-    shared = enumerate_fixed_points(qp(26, 5, 5), 3)
-    assert enumerate_fixed_points(qp(51, 5, 5), 3) is shared
-    assert count_fixed_points(qp(76, 5, 5), 3) == 50
-    assert enumerate_fixed_points(qp(6, 5, 5), 3) is not shared  # m0 = 1: e = 2
-    assert image_description(qp(26, 5, 5), 3) is image_description(qp(6, 5, 5), 3)
-    # p = 2 with q = 3 mod 4: 3 and 11 both have l0 = 2
-    assert image_description(qp(3, 2, 7), 4) is image_description(qp(11, 2, 7), 4)
+def test_pair_shaped_sets_and_images_are_built_once_per_shape_within_a_sweep():
+    with sharing_shapes():
+        # 26, 51 and 76 all have m0 = 2 mod 5**5: one shape (p, n, e) = (5, 3, 1)
+        shared = enumerate_fixed_points(qp(26, 5, 5), 3)
+        assert enumerate_fixed_points(qp(51, 5, 5), 3) is shared
+        assert count_fixed_points(qp(76, 5, 5), 3) == 50
+        assert enumerate_fixed_points(qp(6, 5, 5), 3) is not shared  # m0 = 1: e = 2
+        assert image_description(qp(26, 5, 5), 3) is image_description(qp(6, 5, 5), 3)
+        # p = 2 with q = 3 mod 4: 3 and 11 both have l0 = 2
+        assert image_description(qp(3, 2, 7), 4) is image_description(qp(11, 2, 7), 4)
+        with sharing_shapes():  # nested blocks share the outer block's shapes
+            assert enumerate_fixed_points(qp(51, 5, 5), 3) is shared
+        assert enumerate_fixed_points(qp(76, 5, 5), 3) is shared
     for cached in (fixed_points._pair_set, cocycle._pair_image):
-        assert 0 < cached.cache_info().maxsize <= 1024
+        info = cached.cache_info()
+        assert 0 < info.maxsize <= 1024 and info.currsize == 0
+    # outside a block nothing is kept: each call builds and validates its own
+    assert enumerate_fixed_points(qp(26, 5, 5), 3) is not enumerate_fixed_points(qp(51, 5, 5), 3)
+    assert enumerate_fixed_points(qp(26, 5, 5), 3) == shared
+    assert fixed_points._pair_set.cache_info().currsize == 0
 
 
 def test_fixed_listing_respects_the_scan_budget(monkeypatch):

@@ -164,6 +164,24 @@ def test_a_wrong_shared_image_fails_its_level(pure_kernels, monkeypatch):
     assert {int(m.group(1)) % 4 for m in named} == {3}  # only the pair-shaped images
 
 
+def test_a_suite_run_keeps_no_shapes_past_its_end(monkeypatch):
+    # a fault patched into one test cannot hide behind a value built in another
+    memos = (fixed_points._pair_set, cocycle._pair_image)
+    assert run_suite("oracle-equivalence", depth=2).passed
+    assert [m.cache_info().currsize for m in memos] == [0, 0]
+
+    def fails_midway(res, top, rng):
+        fixed_points._pair_set(5, 3, 1)
+        cocycle._pair_image(2, 3, 2)
+        assert [m.cache_info().currsize for m in memos] == [1, 1]
+        raise RuntimeError("injected")
+
+    monkeypatch.setitem(SUITES, "valuation", fails_midway)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_suite("valuation", depth=2)
+    assert [m.cache_info().currsize for m in memos] == [0, 0]
+
+
 def test_oracle_equivalence_grid_on_the_pure_backend(pure_kernels):
     # the p in {5, 7} columns pass 600 parameters from n = 3 on
     for depth, cases in ((3, 9329), (4, 16510)):
