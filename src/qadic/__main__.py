@@ -1,0 +1,8 @@
+"""`python -m qadic`: the same command line as the `qadic` script."""
+
+import sys
+
+from .cli import run
+
+if __name__ == "__main__":
+    sys.exit(run())

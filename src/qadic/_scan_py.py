@@ -3,10 +3,12 @@
 Same functions, same signatures, same semantics; used when the compiled
 extension is unavailable or when QADIC_BACKEND=pure.  Everything here is a
 plain modular loop on machine integers -- deliberately naive, shared with
-nothing else in the package.  The one shortcut is order_sweep's: a walk
-q, q^2, ..., q^o = 1 around one cyclic subgroup reads off the order of every
-power on it, so each subgroup is walked once however many of its members
-are asked about.
+nothing else in the package.  Two kernels take a shortcut.  order_sweep walks
+q, q^2, ..., q^o = 1 around one cyclic subgroup and reads off the order of
+every power on it, so each subgroup is walked once however many of its
+members are asked about.  pair_sweep's walk only records which values it met
+and which z it fixed; the comparison with the two-coset rule, the count and
+the image size are read off those records after the walk.
 
 Helpers are imported under private names, so that the public callables of
 this module are exactly its four kernels: perfbench's tracer wraps every
@@ -96,26 +98,19 @@ def pair_sweep(p: int, n: int, qs, a0s):
     mismatches = []
     fixed_counts = []
     image_sizes = []
-    stamp = [-1] * M
-    for k, (q, a0) in enumerate(zip(qs, a0s)):
+    for q, a0 in zip(qs, a0s):
         q %= M
+        seen = bytearray(M)
+        fixed = []
         s = 0
-        fc = 0
-        isz = 0
-        mis = -1
-        one = 1 % a0
         for z in range(M):
-            f = s == z
-            r = z % a0
-            if f != (r == 0 or r == one) and mis < 0:
-                mis = z
-            if f:
-                fc += 1
-            if stamp[s] != k:
-                stamp[s] = k
-                isz += 1
+            seen[s] = 1
+            if s == z:
+                fixed.append(z)
             s = (s * q + 1) % M
-        mismatches.append(mis)
-        fixed_counts.append(fc)
-        image_sizes.append(isz)
+        # fixed is ascending: it equals the sorted rule set exactly when the two agree
+        rule = sorted({*range(0, M, a0), *range(1, M, a0)})
+        mismatches.append(-1 if fixed == rule else min(set(fixed).symmetric_difference(rule)))
+        fixed_counts.append(len(fixed))
+        image_sizes.append(seen.count(1))
     return mismatches, fixed_counts, image_sizes

@@ -318,9 +318,9 @@ def exact_div(x: PadicInt, y: PadicInt) -> PadicInt:
 
 
 def _order_mod_p(r: int, p: int) -> int:
-    if p == 2:
-        return 1
     r %= p
+    if r == 1:  # every unit at p = 2
+        return 1
     for d in _divisors(p - 1):
         if pow(r, d, p) == 1:
             return d
@@ -540,16 +540,15 @@ class QParameter:
         if not value.is_unit():
             raise DomainError("q must be a unit")
         self.value = value
-        p = value.prime
-        self.m0 = (value - 1).valuation()
-        self.l0 = (value + 1).valuation() if p == 2 else None
-        self.o_p = _order_mod_p(value.residue(1), p)
+        p, n = value.prime, value.precision
+        q = value.lift()
+        self.m0 = capped_valuation(q - 1, p, n)
+        self.l0 = capped_valuation(q + 1, p, n) if p == 2 else None
+        self.o_p = _order_mod_p(q, p)
         if self.o_p == 1:
             self._ordval = self.m0
         else:
-            n = value.precision
-            t = pow(value.residue(n), self.o_p, p**n)
-            self._ordval = PadicInt.from_int(t - 1, p, n).valuation()
+            self._ordval = capped_valuation(pow(q, self.o_p, p**n) - 1, p, n)
 
     @property
     def prime(self) -> int:

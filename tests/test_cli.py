@@ -498,6 +498,18 @@ def test_non_prime_p_exits_one(command, p):
     assert proc.stderr == f"error: --p must be prime, got {p}\n"
 
 
+def test_python_dash_m_qadic_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(qadic.cli.__file__).parents[1])}
+    argv = ["verify", "--suite", "order", "--depth", "1", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qadic", *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert OutputRecord.from_line(lines[0]).result["passed"]
+
+
 def test_oracle_equivalence_at_depth_five_passes(monkeypatch, capsys):
     monkeypatch.delenv("QADIC_SCAN_BUDGET", raising=False)
     assert run(["verify", "--suite", "oracle-equivalence", "--depth", "5", "--json"]) == 0

@@ -211,6 +211,42 @@ def test_pure_order_sweep_on_mixed_lists():
     assert _scan_py.order_sweep(5, 0, [0, 3, -1]) == [1, 1, 1]
 
 
+def _pair_sweep_by_definition(p, n, qs, a0s):
+    """pair_sweep's docstring transcribed one z at a time."""
+    M = p**n
+    mismatches, fixed_counts, image_sizes = [], [], []
+    for q, a0 in zip(qs, a0s):
+        walk, s = [], 0
+        for _ in range(M):
+            walk.append(s)
+            s = (s * q + 1) % M
+        fixed = [walk[z] == z for z in range(M)]
+        rule = [z % a0 in (0, 1 % a0) for z in range(M)]
+        mismatches.append(next((z for z in range(M) if fixed[z] != rule[z]), -1))
+        fixed_counts.append(sum(fixed))
+        image_sizes.append(len(set(walk)))
+    return mismatches, fixed_counts, image_sizes
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3), (7, 2)])
+def test_pure_pair_sweep_matches_its_docstring(p, n):
+    M = p**n
+    qs = [*range(M), M + 1, 3 * M + p + 1, -1, -M - 2]  # every class, q >= p^n, negative q
+    right = []
+    for q in qs:
+        d, m0 = (q - 1) % M, 0
+        while d and d % p == 0:
+            d //= p
+            m0 += 1
+        right.append(p ** (n - m0) if d else 1)
+    # wrong cutoffs too, so that the mismatch index is exercised
+    for a0s in (right, [a * p for a in right], [1] * len(qs), [M] * len(qs)):
+        got = _scan_py.pair_sweep(p, n, qs, a0s)
+        assert [list(x) for x in got] == list(_pair_sweep_by_definition(p, n, qs, a0s)), a0s[:3]
+        assert any(m != -1 for m in got[0]) and -1 in got[0]
+    assert [list(x) for x in _scan_py.pair_sweep(p, n, [], [])] == [[], [], []]
+
+
 def test_pure_kernels_export_only_the_four_kernels():
     # a span tracer wraps every public callable of the kernel module
     public = {

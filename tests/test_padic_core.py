@@ -296,6 +296,33 @@ def test_qparameter_p2_l0():
     assert qm1.l0 is INF
 
 
+def _same(a, b):
+    """Equal, and INF exactly when the other is INF (code tests `m0 is INF`)."""
+    return a == b and (a is INF) == (b is INF)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_qparameter_fields_match_the_padic_route(p):
+    for k in range(1, 5):
+        M = p**k
+        for u in range(1, M):
+            if u % p == 0:
+                continue
+            v = PadicInt.from_int(u, p, k)
+            q = QParameter(v)
+            o_p = next(d for d in range(1, p) if pow(u, d, p) == 1)
+            assert _same(q.m0, (v - 1).valuation()), (u, k)
+            assert _same(q.l0, (v + 1).valuation() if p == 2 else None), (u, k)
+            assert q.o_p == o_p, (u, k)
+            assert _same(q.order_valuation(), PadicInt.from_int(u**o_p - 1, p, k).valuation()), (u, k)
+            want = None if p != 3 or u % 3 != 1 or k < 2 else {1: "deep", 4: "four", 7: "seven"}[u % 9]
+            assert q.branch == want, (u, k)
+        # q = 1 and q = -1 to full precision: the INF cases
+        assert QParameter(PadicInt.from_int(1, p, k)).m0 is INF
+        minus_one = QParameter(PadicInt.from_int(-1, p, k))
+        assert (minus_one.l0 if p == 2 else minus_one.order_valuation()) is INF
+
+
 def test_qparameter_non_unit_rejected():
     with pytest.raises(DomainError):
         QParameter(PadicInt.from_int(6, 3, 4))

@@ -8,6 +8,7 @@ import pytest
 import qadic.suites
 from qadic import _scan_py, cocycle, fixed_points, oracle
 from qadic.errors import DomainError
+from qadic.padic_core import INF, QParameter
 from qadic.suites import DEFAULT_SUITES, SUITES, SuiteResult, run_suite, run_suites
 
 
@@ -162,6 +163,21 @@ def test_a_wrong_shared_image_fails_its_level(pure_kernels, monkeypatch):
     named = [re.fullmatch(r"image p=2 n=3 q=(\d+): .*", f) for f in r.failures]
     assert all(named), r.failures
     assert {int(m.group(1)) % 4 for m in named} == {3}  # only the pair-shaped images
+
+
+def test_a_wrong_m0_fails_only_its_prime(pure_kernels, monkeypatch):
+    # the oracle route takes no metadata from QParameter, so it guards m0
+    real = QParameter.__init__
+
+    def m0_one_too_large(self, value):
+        real(self, value)
+        if self.prime == 5 and self.m0 is not INF:
+            self.m0 += 1
+
+    monkeypatch.setattr(QParameter, "__init__", m0_one_too_large)
+    r = run_suite("oracle-equivalence", depth=3)
+    assert not r.passed
+    assert all(re.match(r"[a-z]+ p=5 ", f) for f in r.failures), r.failures
 
 
 def test_a_suite_run_keeps_no_shapes_past_its_end(monkeypatch):
