@@ -94,6 +94,8 @@ def pair_sweep(p: int, n: int, qs, a0s):
 
     Returns three lists aligned with qs.
     """
+    if len(qs) != len(a0s):
+        raise ValueError("qs and a0s must have equal length")
     M = p**n
     mismatches = []
     fixed_counts = []

@@ -23,8 +23,9 @@ are p-adic objects render as canonical digit strings; when the requested
 exponent was given as a plain integer the value comes back as a plain
 residue.
 
-Exit codes: 0 success, 1 domain/parse error, 2 precision error,
-3 verification failure (including internal invariant breaks), 4 resource cap.
+Exit codes: 0 success, 1 domain/parse error or a malformed setting,
+2 precision error, 3 verification failure (including internal invariant
+breaks), 4 resource cap.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import time
 
 from . import suites as _suites
 from .cocycle import iota_eval
-from .config import check_listing_size, check_precision_request
+from .config import check_listing_size, check_precision_request, precision_cap, scan_budget
 from .correspondence import BRANCHES, ExceptionalReport, exceptional_q, phi, psi
 from .errors import (
     DomainError,
@@ -388,6 +389,9 @@ def run(argv=None) -> int:
     """Entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
+        # A malformed setting fails every command, not only those that read it.
+        precision_cap()
+        scan_budget()
         args = _parser().parse_args(_merge_negative_values(argv))
         start = time.perf_counter()
         text, payload, method, code = _HANDLERS[args.cmd](args)

@@ -24,13 +24,17 @@ QADIC_PRECISION_CAP   largest output precision a caller may ask for, in
                       fixedness test at level 2d - 1.
 QADIC_BACKEND         set to "pure" to force the pure-Python scan kernels even
                       when the compiled extension is importable.
+
+The two numeric settings are read when used.  One that is set to anything
+but a positive integer raises QadicError, quoting it; the CLI checks both at
+entry, so it exits 1 on every command.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import ResourceError
+from .errors import QadicError, ResourceError
 
 DEFAULT_SCAN_BUDGET = 3**9
 DEFAULT_PRECISION_CAP = 64
@@ -40,14 +44,18 @@ SCAN_CEILING = 2**SCAN_CEILING_BITS
 
 
 def _env_int(name: str, default: int) -> int:
+    """The positive integer an environment variable is set to, or default
+    when it is unset; any other setting is refused, quoting it."""
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
         value = int(raw)
     except ValueError:
-        return default
-    return value if value > 0 else default
+        value = 0
+    if value < 1:
+        raise QadicError(f"{name}={raw!r} is not a positive integer")
+    return value
 
 
 def scan_budget() -> int:

@@ -12,7 +12,8 @@ This module computes both directions at finite precision:
     indistinguishable from one of the two exceptional parameters at the
     available precision;
   * exceptional_q: the two parameters whose only fixed points are 0 and 1,
-    computed digit by digit and cached across calls;
+    the roots of the multiplier equation h(q) = 0, solved by Newton,
+    certified by one fixedness test and cached across calls;
   * F_map / G_map: the affine-renormalized versions of phi that are isometries
     of Z_3 in both branches.
 
@@ -25,13 +26,21 @@ psi needs v0 spare digits of z (input z mod 3^(P+v0) for output q mod 3^P).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .config import precision_cap
 from .errors import DomainError, InvariantError, PrecisionError, ResourceError
 from .fixed_points import _rooted_search, _unique_lift, is_fixed
-from .padic_core import INF, PadicInt, QParameter, as_qparameter, capped_valuation, int_valuation, residue_of
+from .padic_core import (
+    INF,
+    PadicInt,
+    QParameter,
+    as_qparameter,
+    capped_valuation,
+    int_valuation,
+    log_unit,
+    residue_of,
+)
 
 BRANCHES = ("seven", "four")
 
@@ -135,13 +144,35 @@ def psi(z, out_precision: int) -> PadicInt:
 # The exceptional parameters.
 # ---------------------------------------------------------------------------
 
-# Digits are grown on demand and shared across calls and threads; the lock
-# makes the grow step single-writer and keeps reads consistent with it.
-_EXC_LOCK = threading.Lock()
-_EXC_DIGITS: dict[str, list[int]] = {
-    "seven": [1, _BRANCH_BASE["seven"]],
-    "four": [1, _BRANCH_BASE["four"]],
+# The longest certified truncation of each branch's exceptional parameter;
+# a longer one replaces it by a single assignment, so readers never see a
+# partly built tuple.
+_EXC_DIGITS: dict[str, tuple[int, ...]] = {
+    "seven": (1, _BRANCH_BASE["seven"]),
+    "four": (1, _BRANCH_BASE["four"]),
 }
+
+
+def _multiplier_root(branch: str, digit_count: int) -> int:
+    """The root of the branch's multiplier equation, mod 3^digit_count.
+
+    iota_q has multiplier log q/(q - 1) at 0 and q log q/(q - 1) at 1; the
+    exceptional parameter is where it is 1, the root of h(q) = log q - (q - 1)
+    (seven) or h(q) = q log q - (q - 1) (four).  h' has valuation 1, so
+    Newton from q = 7 or 4 (both roots mod 9) takes d known digits to 2d - 1,
+    reading h one digit deeper than it returns.
+    """
+    m = 3 ** (digit_count + 1)
+    q, known = 1 + 3 * _BRANCH_BASE[branch], 2
+    while known < digit_count:
+        log_q = log_unit(q, 3, digit_count + 1)
+        if branch == "seven":  # h/h' = h q/(1 - q)
+            num, den = (log_q - q + 1) * q, 1 - q
+        else:  # h/h' = h/log q
+            num, den = q * log_q - q + 1, log_q
+        q = (q - num // 3 * pow(den // 3, -1, m)) % m
+        known = 2 * known - 1
+    return q % 3**digit_count
 
 
 def exceptional_q(branch: str, digit_count: int) -> PadicInt:
@@ -150,33 +181,34 @@ def exceptional_q(branch: str, digit_count: int) -> PadicInt:
     Exactly two branch parameters have no fixed points besides 0 and 1; they
     are the limits of psi at those two points.  The truncation with k+1 digits
     is characterised by fixing 0 + 3^k (branch seven) or 1 + 3^k (branch four)
-    modulo 3^(2k+1), which pins each successive digit: of the three candidate
-    extensions exactly one passes that test.  Each stage doubles the working
-    modulus, so digit_count is limited by the precision cap.
+    modulo 3^(2k+1): exactly one branch class mod 3^(k+1) passes that test.
+    The digits come from _multiplier_root and are certified by that one test,
+    so digit_count is limited by the precision cap at level 2*digit_count - 1.
     """
     if branch not in BRANCHES:
         raise DomainError(f"branch must be one of {BRANCHES}, got {branch!r}")
     if digit_count < 1:
         raise DomainError("digit_count must be at least 1")
-    offset = _BRANCH_OFFSET[branch]
-    with _EXC_LOCK:
-        digits = _EXC_DIGITS[branch]
-        if digit_count > len(digits):
-            # Appending digit k tests fixedness at level 2k+1; refuse up front
-            # rather than dying mid-climb.
-            top_level = 2 * (digit_count - 1) + 1
-            cap = precision_cap()
-            if top_level > cap:
-                raise ResourceError(
-                    f"digit {digit_count} needs a fixedness test at level {top_level}, "
-                    f"beyond the precision cap {cap} (QADIC_PRECISION_CAP)"
-                )
-        while len(digits) < digit_count:
-            k = len(digits)
-            _append_q_digit(
-                digits, offset + 3**k, 2 * k + 1, f"digit {k} of the {branch}-branch exceptional parameter"
+    digits = _EXC_DIGITS[branch]
+    if digit_count > len(digits):
+        k = digit_count - 1
+        top_level = 2 * k + 1
+        cap = precision_cap()
+        if top_level > cap:
+            raise ResourceError(
+                f"digit {digit_count} needs a fixedness test at level {top_level}, "
+                f"beyond the precision cap {cap} (QADIC_PRECISION_CAP)"
             )
-        return PadicInt(3, tuple(digits[:digit_count]))
+        root = _multiplier_root(branch, digit_count)
+        witness = _BRANCH_OFFSET[branch] + 3**k
+        if not _fixes(root, witness, top_level):
+            raise InvariantError(
+                f"the {branch}-branch multiplier root {root} mod 3^{digit_count} "
+                f"does not fix {witness} mod 3^{top_level}"
+            )
+        digits = PadicInt.from_int(root, 3, digit_count).digits
+        _EXC_DIGITS[branch] = digits
+    return PadicInt(3, digits[:digit_count])
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,18 @@ def unit_inverse(x: PadicInt) -> PadicInt:
     return PadicInt.from_int(inv, p, n)
 
 
+def log_unit(x: int, p: int, n: int) -> int:
+    """The p-adic logarithm of x = 1 mod p, mod p^n, on plain ints.
+
+    log x = (x^(p^n) - 1)/p^n + O(p^(n+1)): one pow mod p^(2n) and one exact
+    division, since x^(p^n) = 1 mod p^(n+1).
+    """
+    if (x - 1) % p:
+        raise DomainError(f"log needs x = 1 mod {p}, got {x}")
+    m = p**n
+    return (pow(x, m, m * m) - 1) // m % m
+
+
 def exact_div(x: PadicInt, y: PadicInt) -> PadicInt:
     """x / y when y exactly divides x; costs valuation(y) digits of precision."""
     if x.prime != y.prime:

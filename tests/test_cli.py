@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import qadic.cli
+import qadic.correspondence
 import qadic.suites
 from qadic.cli import OutputRecord, main, run
 from qadic.correspondence import exceptional_q
@@ -348,6 +349,46 @@ def test_precision_errors_exit_two(capsys):
 def test_resource_cap_exits_four(capsys):
     assert run(["iota", "--p", "3", "--q", "4", "--z", "1", "--n", "100"]) == 4
     assert "resource cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("branch", ["seven", "four"])
+def test_exceptional_digit_33_exits_four_naming_its_level(branch, monkeypatch, capsys):
+    monkeypatch.delenv("QADIC_PRECISION_CAP", raising=False)
+    assert run(["exceptional", "--branch", branch, "--digits", "33", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource cap: digit 33 needs a fixedness test at level 65, "
+        "beyond the precision cap 64 (QADIC_PRECISION_CAP)\n"
+    )
+    assert run(["exceptional", "--branch", branch, "--digits", "32"]) == 0
+
+
+def test_a_wrong_exceptional_root_exits_three_printing_no_digit(monkeypatch, capsys):
+    right = qadic.correspondence._multiplier_root
+    monkeypatch.setattr(qadic.correspondence, "_EXC_DIGITS", {"seven": (1, 2), "four": (1, 1)})
+    monkeypatch.setattr(qadic.correspondence, "_multiplier_root", lambda b, d: (right(b, d) + 3 ** (d - 1)) % 3**d)
+    assert run(["exceptional", "--branch", "four", "--digits", "9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant violated: the four-branch multiplier root")
+
+
+@pytest.mark.parametrize(
+    "var, value, argv",
+    [
+        ("QADIC_PRECISION_CAP", "abc", ["phi", "--q", "4", "--precision", "6"]),
+        ("QADIC_SCAN_BUDGET", "1e9", ["verify", "--suite", "order", "--depth", "1"]),
+        ("QADIC_PRECISION_CAP", "0", ["iota", "--p", "3", "--q", "4", "--z", "1", "--n", "4"]),
+        ("QADIC_SCAN_BUDGET", "-9", ["fixed", "count", "--p", "3", "--q", "4", "--n", "4", "--json"]),
+    ],
+)
+def test_malformed_settings_exit_one_quoting_the_value(var, value, argv, monkeypatch, capsys):
+    monkeypatch.setenv(var, value)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {var}='{value}' is not a positive integer\n"
 
 
 def test_enumerate_beyond_the_scan_budget_exits_four(monkeypatch, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qadic.correspondence
 from qadic.correspondence import (
     BRANCHES,
     ExceptionalReport,
@@ -17,7 +18,7 @@ from qadic.correspondence import (
     psi,
     solve_q_for_z,
 )
-from qadic.errors import DomainError, PrecisionError, ResourceError
+from qadic.errors import DomainError, InvariantError, PrecisionError, ResourceError
 from qadic.fixed_points import is_fixed
 from qadic.padic_core import PadicInt, QParameter, from_rational
 
@@ -131,6 +132,67 @@ def test_exceptional_rejects_bad_branch():
         exceptional_q("five", 4)
     with pytest.raises(DomainError):
         exceptional_q("seven", 0)
+
+
+OFFSET = {"seven": 0, "four": 1}
+START = {"seven": 7, "four": 4}
+
+
+def _witness_fixes(branch: str, q: int, k: int) -> bool:
+    """Does q, read mod 3^(k+1), fix offset + 3^k mod 3^(2k+1)?"""
+    return is_fixed(qp(q, 2 * k + 2), OFFSET[branch] + 3**k, 2 * k + 1)
+
+
+def _lifted_exceptional(branch: str, count: int) -> tuple[int, ...]:
+    """The exceptional digits grown one at a time: digit k is the one of
+    three extensions whose truncation fixes the branch's witness."""
+    q = START[branch]
+    for k in range(2, count):
+        (d,) = [d for d in range(3) if _witness_fixes(branch, q + d * 3**k, k)]
+        q += d * 3**k
+    return PadicInt.from_int(q, 3, count).digits
+
+
+@pytest.fixture
+def cold_exceptional(monkeypatch):
+    """A fresh exceptional-digit cache holding only the branch start."""
+    monkeypatch.delenv("QADIC_PRECISION_CAP", raising=False)
+    cold = {b: PadicInt.from_int(START[b], 3, 2).digits for b in BRANCHES}
+    monkeypatch.setattr(qadic.correspondence, "_EXC_DIGITS", cold)
+    return cold
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_exactly_one_branch_class_fixes_the_exceptional_witness(branch):
+    # the one test that certifies a truncation pins it among all branch
+    # classes mod 3^(k+1), so no other truncation could pass it
+    for k in range(1, 9):
+        passing = [q for q in range(START[branch], 3 ** (k + 1), 9) if _witness_fixes(branch, q, k)]
+        assert passing == [exceptional_q(branch, k + 1).lift()], k
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_newton_digits_match_the_digit_lift(branch, order, cold_exceptional):
+    reference = _lifted_exceptional(branch, 32)
+    counts = range(1, 33) if order == "ascending" else range(32, 0, -1)
+    for d in counts:
+        assert exceptional_q(branch, d).digits == reference[:d], d
+    assert cold_exceptional[branch] == reference
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_a_wrong_newton_digit_raises_instead_of_answering(branch, cold_exceptional, monkeypatch):
+    right = qadic.correspondence._multiplier_root
+
+    def one_off(branch, d):  # the last digit moved by one, mod 3
+        return (right(branch, d) + 3 ** (d - 1)) % 3**d
+
+    monkeypatch.setattr(qadic.correspondence, "_multiplier_root", one_off)
+    for d in range(3, 33):
+        with pytest.raises(InvariantError, match=f"root .* mod 3\\^{d} does not fix"):
+            exceptional_q(branch, d)
+    assert len(cold_exceptional[branch]) == 2
 
 
 def test_exceptional_concurrent_extension_is_consistent():

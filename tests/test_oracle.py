@@ -245,6 +245,8 @@ def test_pure_pair_sweep_matches_its_docstring(p, n):
         assert [list(x) for x in got] == list(_pair_sweep_by_definition(p, n, qs, a0s)), a0s[:3]
         assert any(m != -1 for m in got[0]) and -1 in got[0]
     assert [list(x) for x in _scan_py.pair_sweep(p, n, [], [])] == [[], [], []]
+    with pytest.raises(ValueError, match="equal length"):
+        _scan_py.pair_sweep(p, n, [1, 1 + p], [1])
 
 
 def test_pure_kernels_export_only_the_four_kernels():

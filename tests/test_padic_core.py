@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qadic import config
 from qadic.config import check_precision_request
-from qadic.errors import DomainError, PrecisionError, ResourceError
+from qadic.errors import DomainError, PrecisionError, QadicError, ResourceError
 from qadic.padic_core import (
     INF,
     CosetDescriptor,
@@ -17,6 +18,7 @@ from qadic.padic_core import (
     exact_div,
     from_rational,
     int_valuation,
+    log_unit,
     mult_order,
     parse_value,
     residue_of,
@@ -353,6 +355,47 @@ def test_precision_cap_env_override(monkeypatch):
     with pytest.raises(ResourceError):
         check_precision_request(11)
     assert check_precision_request(10) == 10
+
+
+def test_unset_settings_give_the_defaults(monkeypatch):
+    monkeypatch.delenv("QADIC_PRECISION_CAP", raising=False)
+    monkeypatch.delenv("QADIC_SCAN_BUDGET", raising=False)
+    assert config.precision_cap() == config.DEFAULT_PRECISION_CAP == 64
+    assert config.scan_budget() == config.DEFAULT_SCAN_BUDGET == 3**9
+
+
+@pytest.mark.parametrize("value", ["abc", "1e9", "0", "-1", "", " "])
+def test_malformed_settings_are_refused_quoting_them(value, monkeypatch):
+    for name, read in (("QADIC_PRECISION_CAP", config.precision_cap), ("QADIC_SCAN_BUDGET", config.scan_budget)):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(QadicError, match=f"^{name}={value!r} is not a positive integer$"):
+            read()
+        monkeypatch.delenv(name)
+
+
+# -- logarithm ---------------------------------------------------------------
+
+
+def _log_by_series(x: int, p: int, n: int) -> int:
+    """log x mod p^n from log(1 + t) = sum (-1)^(k+1) t^k / k, whose terms
+    beyond k = 2n + 8 vanish mod p^n since v(t) >= 1."""
+    m, t, total = p**n, x - 1, 0
+    for k in range(1, 2 * n + 9):
+        a = int_valuation(k, p)
+        term = t**k // p**a * pow(k // p**a, -1, m)
+        total += term if k % 2 else -term
+    return total % m
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 5), (5, 3), (7, 3)])
+def test_log_unit_matches_the_series(p, n):
+    for x in [*range(1, p ** (n + 1), p), -p + 1, 1 + p**n * 5]:
+        assert log_unit(x, p, n) == _log_by_series(x, p, n), x
+
+
+def test_log_unit_needs_a_one_unit():
+    with pytest.raises(DomainError, match="log needs x = 1 mod 3, got 2"):
+        log_unit(2, 3, 4)
 
 
 # -- coset descriptors -------------------------------------------------------
