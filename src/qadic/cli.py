@@ -146,13 +146,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every `run` in this process shares, built on first use.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser every `run` in this process shares, built on first use,
+    with its subcommand parsers by name.
 
+    A query that starts with a subcommand's name is parsed by that
+    subcommand's parser alone, which is what the full parser would hand
+    the rest of the line to; anything else goes to the full parser.
     parse_args keeps no state between calls: each returns a fresh
     Namespace, and a malformed line raises DomainError from `error`.
     """
-    return build_parser()
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
 
 
 # -- literals and the precision cap -----------------------------------------
@@ -213,11 +219,12 @@ def _cmd_iota(args):
             raise DomainError("--table limit must be nonnegative")
         check_listing_size(args.table + 1, args.p, args.n, "table values")
         ring = args.p**args.n
-        values, marks = [], []
-        for z in range(args.table + 1):
-            val = iota_eval(q, z, args.n).lift()
-            values.append(val)
-            marks.append(args.mark_fixed and val == z % ring)
+        # On 1 + pZ_p iota_q is an isometry, so its values mod p^n repeat
+        # with period p^n; elsewhere the exponent is used as an integer.
+        span = min(args.table + 1, ring) if q.in_u1 else args.table + 1
+        period = [iota_eval(q, z, args.n).lift() for z in range(span)]
+        values = [period[z % span] for z in range(args.table + 1)]
+        marks = [args.mark_fixed and val == z % ring for z, val in enumerate(values)]
         cells = [f"[{v}]" if m else str(v) for v, m in zip(values, marks)]
         lines = [
             " ".join(cells[i : i + _TABLE_COLUMNS])
@@ -392,7 +399,13 @@ def run(argv=None) -> int:
         # A malformed setting fails every command, not only those that read it.
         precision_cap()
         scan_budget()
-        args = _parser().parse_args(_merge_negative_values(argv))
+        merged = _merge_negative_values(argv)
+        parser, commands = _parser()
+        if merged and merged[0] in commands:
+            args = commands[merged[0]].parse_args(merged[1:])
+            args.cmd = merged[0]
+        else:
+            args = parser.parse_args(merged)
         start = time.perf_counter()
         text, payload, method, code = _HANDLERS[args.cmd](args)
         elapsed = time.perf_counter() - start

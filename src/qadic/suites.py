@@ -305,8 +305,10 @@ def _oracle_sweep_pairs(res: SuiteResult, p: int, n: int, qvals: list[int]) -> N
 
 
 def _oracle_sweep_lists(res: SuiteResult, p: int, n: int, qvals: list[int]) -> None:
-    """Residue-list comparison per parameter: the p = 2 column and the rich
-    p = 3 stratum (q = 4 or 7 mod 9), whose fixed sets are not pair-shaped."""
+    """Residue-list comparison per parameter: the rich p = 3 stratum
+    (q = 4 or 7 mod 9), whose fixed sets are not pair-shaped, and the p = 2
+    column, whose fixed sets are pair-shaped but whose image for q = 3 mod 4
+    is a coset pair, not the whole ring the pair path checks."""
     ring = p**n
     brutes = {
         c: (oracle.brute_fixed_points(c, p, n), oracle.brute_image(c, p, n))

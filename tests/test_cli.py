@@ -1,9 +1,11 @@
 """Command-line surface: literals, table mode, golden files, record lines,
 and the exit-code contract."""
 
+import argparse
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -15,9 +17,11 @@ import qadic.suites
 from qadic.cli import OutputRecord, main, run
 from qadic.correspondence import exceptional_q
 from qadic.errors import DomainError, InvariantError
+from qadic.padic_core import QParameter, from_rational
 from qadic.suites import SuiteResult
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
 def out_of(capsys) -> str:
@@ -109,6 +113,32 @@ def test_digit_string_q_matches_integer_q(capsys):
     assert out_of(capsys) == want
 
 
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, stdout lines shown) for each `$ qadic` line of README's first
+    command-line block, but `verify`, with trailing `# ...` comments cut."""
+    block = README.read_text().split("## Command line", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            examples.append((shlex.split(line[2:], comments=True)[1:], []))
+        else:
+            examples[-1][1].append(line.split("  #")[0].rstrip())
+    return [(argv, shown) for argv, shown in examples if argv[0] != "verify"]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, shown", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples_print_what_readme_shows(argv, shown, capsys):
+    assert run(argv) == 0
+    got = capsys.readouterr().out.splitlines()
+    if "..." in shown:  # README elides the rest
+        shown = shown[: shown.index("...")]
+        got = got[: len(shown)]
+    assert got == shown
+
+
 # -- golden tables -----------------------------------------------------------
 
 
@@ -137,6 +167,36 @@ def test_table_marks_the_fixed_residues(capsys):
     assert {z % 81 for z in marked} == {
         0, 1, 4, 10, 13, 19, 22, 27, 28, 31, 37, 40, 46, 49, 54, 55, 58, 64, 67, 73, 76,
     }
+
+
+@pytest.mark.parametrize(
+    "p, q, n, limit",
+    [
+        (2, (5, 1), 3, 20),
+        (2, (3, 1), 4, 40),  # q = 3 mod 4
+        (3, (4, 1), 2, 30),
+        (3, (-1, 2), 3, 60),
+        (5, (6, 1), 2, 60),
+        (3, (1, 1), 2, 20),
+        (2, (1, 1), 3, 8),
+        (5, (2, 1), 2, 60),  # outside 1 + pZ_p: the exponent is an integer
+    ],
+)
+def test_a_table_past_one_period_matches_each_value(p, q, n, limit, monkeypatch, capsys):
+    ring = p**n
+    assert limit >= ring
+    qp = QParameter(from_rational(*q, p, n + 8))
+    want = [qadic.cli.iota_eval(qp, z, n).lift() for z in range(limit + 1)]
+    calls = []
+    real = qadic.cli.iota_eval
+    monkeypatch.setattr(qadic.cli, "iota_eval", lambda *a: calls.append(a) or real(*a))
+    literal = f"{q[0]}/{q[1]}"
+    argv = ["iota", "--p", str(p), "--q", literal, "--n", str(n), "--table", str(limit), "--mark-fixed", "--json"]
+    assert run(argv) == 0
+    result = OutputRecord.from_line(out_of(capsys)).result
+    assert result["values"] == want
+    assert result["fixed_positions"] == [z for z, v in enumerate(want) if v == z % ring]
+    assert len(calls) == (ring if qp.in_u1 else limit + 1)
 
 
 # -- structured records ------------------------------------------------------
@@ -247,6 +307,65 @@ def test_build_parser_returns_a_new_parser_each_call():
     assert qadic.cli.build_parser() is not qadic.cli.build_parser()
 
 
+EDGE_ARGVS = [
+    [],
+    ["--help"],
+    ["iota", "--help"],
+    ["nosuch"],
+    ["--json", "iota"],
+    ["iota", "--p", "3", "--q", "4"],  # missing --n
+    ["fixed", "count", "--p", "x", "--q", "4", "--n", "3"],  # bad int
+    ["fixed", "bogus", "--p", "3", "--q", "4", "--n", "3"],  # bad choice
+    ["exceptional", "--branch", "six", "--digits", "3"],
+    ["iota", "--p", "3", "--q", "4", "--z", "1", "--n", "3", "--bogus"],  # unknown flag
+    ["fixed", "count", "--p", "3", "--q", "4", "--n", "3", "extra"],  # extra argument
+    ["phi", "--q", "4", "--prec", "6"],  # abbreviated flag
+    ["iota", "--p", "3", "--q=4", "--z", "5", "--n", "3"],
+    ["iota", "--p", "3", "--q", "-1/2", "--z", "2", "--n", "4"],
+    ["iota", "--p", "3", "--q", "4", "--z", "-3", "--n", "4"],
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS, ids=lambda a: " ".join(a) or "empty")
+def test_dispatch_answers_as_the_full_parser_does(argv, monkeypatch, capsys):
+    dispatched = _outcome(argv, capsys)
+    # With no subcommand map, run parses every line with build_parser().parse_args.
+    monkeypatch.setattr(qadic.cli, "_parser", lambda: (qadic.cli.build_parser(), {}))
+    assert dispatched == _outcome(argv, capsys)
+
+
+def test_a_well_formed_query_skips_the_top_level_parser(monkeypatch, capsys):
+    progs = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        progs.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    queries = [
+        ["iota", "--p", "3", "--q", "4", "--z", "5", "--n", "3", "--json"],
+        ["fixed", "count", "--p", "3", "--q", "4", "--n", "4"],
+        ["phi", "--q", "4", "--precision", "5"],
+        ["exceptional", "--branch", "seven", "--digits", "8", "--json"],
+    ]
+    assert [run(argv) for argv in queries] == [0, 0, 0, 0]
+    assert progs == [f"qadic {argv[0]}" for argv in queries]
+    progs.clear()
+    assert run(["--json", "iota"]) == 1
+    assert progs == ["qadic", "qadic iota"]
+    capsys.readouterr()
+
+
 def test_json_flag_does_not_stick(capsys):
     argv = ["fixed", "count", "--p", "3", "--q", "4", "--n", "4"]
     assert run([*argv, "--json"]) == 0
@@ -344,6 +463,10 @@ def test_precision_errors_exit_two(capsys):
     assert "precision" in capsys.readouterr().err
     # z digit string shorter than the level
     assert run(["iota", "--p", "3", "--q", "4", "--z", "3^2:1,1", "--n", "4"]) == 2
+    # a table's first evaluation meets the short q
+    assert run(["iota", "--p", "3", "--q", "3^2:1,1", "--n", "4", "--table", "90"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("precision error: ")
 
 
 def test_resource_cap_exits_four(capsys):

@@ -206,6 +206,27 @@ def test_pow_negative_exponent_needs_unit():
         PadicInt.from_int(3, 3, 5) ** -1
 
 
+@given(p=primes, k=st.integers(0, 10**6), n=st.integers(2, 10), m=st.integers(2, 10), data=st.data())
+def test_padic_exponent_agrees_with_the_integer_one(p, k, n, m, data):
+    # the answer is known to the common precision of base and exponent
+    q = PadicInt.from_int(1 + (4 if p == 2 else p) * k, p, n)
+    z = data.draw(st.integers(0, p**m - 1))
+    assert q ** PadicInt.from_int(z, p, m) == PadicInt.from_int(q.lift(), p, min(n, m)) ** z
+
+
+@pytest.mark.parametrize(
+    "q, z, message",
+    [
+        (PadicInt.from_int(4, 3, 5), PadicInt.from_int(2, 5, 5), "prime mismatch"),
+        (PadicInt.from_int(2, 3, 5), PadicInt.from_int(2, 3, 5), "q = 1 mod p"),
+        (PadicInt.from_int(3, 2, 5), PadicInt.from_int(2, 2, 5), "q = 1 mod p"),
+    ],
+)
+def test_padic_exponent_domain_errors(q, z, message):
+    with pytest.raises(DomainError, match=message):
+        q**z
+
+
 # -- multiplicative order ---------------------------------------------------
 
 
